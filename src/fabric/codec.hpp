@@ -2,13 +2,14 @@
 //
 // Every fabric byte format — the CampaignSpec blob, the KFFR status
 // frames, and the KFNM network messages — serializes big-endian with the
-// same primitive vocabulary and parses through the same bounds-checked
-// cursor (never throws, never overreads, latches `ok = false` on the
-// first short read).  Keeping the primitives in one header means a new
-// message type cannot invent a subtly different integer layout.
+// same primitive vocabulary, parses through the same bounds-checked
+// Reader, and travels in the same checksummed envelope.  Keeping the
+// primitives in one header means a new message type cannot invent a
+// subtly different integer layout.
 #pragma once
 
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,26 +40,41 @@ inline void put64(std::vector<u8>& out, u64 v) {
   put32(out, static_cast<u32>(v));
 }
 
-inline void put_double(std::vector<u8>& out, double d) {
-  u64 bits = 0;
-  std::memcpy(&bits, &d, sizeof(bits));
-  put64(out, bits);
-}
+/// The two directions of a wire format written once: a format is a
+/// function `fields(io, value)` handing every field to `io` in wire
+/// order.  Writer appends each field; Reader fills each one in.
+struct Writer {
+  std::vector<u8> out;
 
-inline void put_string(std::vector<u8>& out, const std::string& s) {
-  put32(out, static_cast<u32>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
+  void operator()(bool v) { put8(out, v ? 1 : 0); }
+  void operator()(u8 v) { put8(out, v); }
+  void operator()(u32 v) { put32(out, v); }
+  void operator()(u64 v) { put64(out, v); }
+  void operator()(double v) {
+    u64 bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    put64(out, bits);
+  }
+  void operator()(const std::string& v) {
+    put32(out, static_cast<u32>(v.size()));
+    out.insert(out.end(), v.begin(), v.end());
+  }
+  void operator()(const std::vector<u8>& v) {
+    put32(out, static_cast<u32>(v.size()));
+    out.insert(out.end(), v.begin(), v.end());
+  }
+  template <typename E>
+  void operator()(E v, E /*first*/, E /*last*/) {
+    put8(out, static_cast<u8>(v));
+  }
+};
 
-inline void put_blob(std::vector<u8>& out, const std::vector<u8>& b) {
-  put32(out, static_cast<u32>(b.size()));
-  out.insert(out.end(), b.begin(), b.end());
-}
-
-/// Bounds-checked big-endian reader (same shape as the journal's).
-struct Cursor {
+/// Bounds-checked big-endian reader (same shape as the journal's): never
+/// throws, never overreads, latches `ok = false` on the first short read
+/// or on an enum byte outside [first, last].
+struct Reader {
   const std::vector<u8>& in;
-  size_t pos;
+  size_t pos = 0;
   bool ok = true;
 
   bool have(size_t n) {
@@ -82,28 +98,128 @@ struct Cursor {
     const u64 hi = get32();
     return (hi << 32) | get32();
   }
-  double get_double() {
+
+  void operator()(bool& v) { v = get8() != 0; }
+  void operator()(u8& v) { v = get8(); }
+  void operator()(u32& v) { v = get32(); }
+  void operator()(u64& v) { v = get64(); }
+  void operator()(double& v) {
     const u64 bits = get64();
-    double d = 0.0;
-    std::memcpy(&d, &bits, sizeof(d));
-    return d;
+    std::memcpy(&v, &bits, sizeof(v));
   }
-  std::string get_string() {
+  void operator()(std::string& v) {
+    std::vector<u8> bytes;
+    (*this)(bytes);
+    v.assign(bytes.begin(), bytes.end());
+  }
+  void operator()(std::vector<u8>& v) {
     const u32 len = get32();
-    if (!have(len)) return {};
-    std::string s(in.begin() + static_cast<long>(pos),
-                  in.begin() + static_cast<long>(pos + len));
+    if (!have(len)) return;
+    v.assign(in.begin() + static_cast<long>(pos),
+             in.begin() + static_cast<long>(pos + len));
     pos += len;
-    return s;
   }
-  std::vector<u8> get_blob() {
-    const u32 len = get32();
-    if (!have(len)) return {};
-    std::vector<u8> b(in.begin() + static_cast<long>(pos),
-                      in.begin() + static_cast<long>(pos + len));
-    pos += len;
-    return b;
+  template <typename E>
+  void operator()(E& v, E first, E last) {
+    const u8 b = get8();
+    if (b < static_cast<u8>(first) || b > static_cast<u8>(last)) ok = false;
+    v = static_cast<E>(b);
   }
+  /// Every field decoded and nothing trails them.
+  bool done() const { return ok && pos == in.size(); }
+};
+
+/// A whole byte format through its field list: `fields` is the
+/// format's fields<Writer, const T> or fields<Reader, T> instantiation.
+/// decode() fails on a short read, a bad enum byte or trailing bytes.
+template <typename T>
+std::vector<u8> encode(void (*fields)(Writer&, const T&), const T& value) {
+  Writer w;
+  fields(w, value);
+  return std::move(w.out);
+}
+
+template <typename T>
+std::optional<T> decode(void (*fields)(Reader&, T&),
+                        const std::vector<u8>& bytes) {
+  Reader r{bytes};
+  T value;
+  fields(r, value);
+  if (!r.done()) return std::nullopt;
+  return value;
+}
+
+/// The envelope around every fabric stream message — KFFR status frames
+/// and KFNM network messages: magic | u32 len | payload | fnv1a(payload).
+/// A payload's first byte is its type.
+inline std::vector<u8> seal(u32 magic, const std::vector<u8>& payload) {
+  std::vector<u8> out;
+  out.reserve(payload.size() + 16);
+  put32(out, magic);
+  put32(out, static_cast<u32>(payload.size()));
+  out.insert(out.end(), payload.begin(), payload.end());
+  put64(out, fnv1a(payload.data(), payload.size()));
+  return out;
+}
+
+/// Incremental envelope decoder over a byte stream: feed() appends raw
+/// bytes (split or coalesced anyhow), next() pops the earliest complete
+/// payload, or nullopt while the buffer holds only part of one.  Bad
+/// magic, an empty payload, one longer than `max_len(type)` (checked as
+/// soon as the type byte arrives, so a peer cannot make the reader buffer
+/// an over-long message) or a checksum mismatch latch corrupted().
+class Unsealer {
+ public:
+  explicit Unsealer(u32 magic) : magic_(magic) {}
+
+  void feed(const u8* data, size_t size) {
+    // Compact the consumed prefix before growing, so a long-lived stream
+    // doesn't accumulate every message it ever saw.
+    if (pos_ > 0 && pos_ == buf_.size()) {
+      buf_.clear();
+      pos_ = 0;
+    } else if (pos_ > 65536) {
+      buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(pos_));
+      pos_ = 0;
+    }
+    buf_.insert(buf_.end(), data, data + size);
+  }
+
+  std::optional<std::vector<u8>> next(u32 (*max_len)(u8 type)) {
+    if (corrupted_) return std::nullopt;
+    Reader c{buf_, pos_};
+    if (!c.have(8)) return std::nullopt;  // need magic + length
+    const u32 magic = c.get32();
+    const u32 len = c.get32();
+    if (magic != magic_ || len < 1) {
+      corrupted_ = true;
+      return std::nullopt;
+    }
+    if (!c.have(1)) return std::nullopt;  // the type byte sets the limit
+    if (len > max_len(buf_[c.pos])) {
+      corrupted_ = true;
+      return std::nullopt;
+    }
+    if (!c.have(len + 8)) return std::nullopt;  // partial message: wait
+    const size_t payload_at = c.pos;
+    c.pos += len;
+    if (c.get64() != fnv1a(buf_.data() + payload_at, len)) {
+      corrupted_ = true;
+      return std::nullopt;
+    }
+    pos_ = c.pos;
+    return std::vector<u8>(buf_.begin() + static_cast<long>(payload_at),
+                           buf_.begin() + static_cast<long>(payload_at + len));
+  }
+
+  bool corrupted() const { return corrupted_; }
+  void corrupt() { corrupted_ = true; }
+
+ private:
+  u32 magic_;
+  std::vector<u8> buf_;
+  size_t pos_ = 0;  // consumed prefix, compacted lazily
+  bool corrupted_ = false;
 };
 
 }  // namespace kfi::fabric::codec

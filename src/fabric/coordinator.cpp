@@ -11,11 +11,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <thread>
 
 #include "common/rng.hpp"
 #include "fabric/shard.hpp"
-#include "fabric/wire.hpp"
 
 namespace kfi::fabric {
 
@@ -27,35 +25,40 @@ double seconds_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double>(b - a).count();
 }
 
+Clock::duration from_seconds(double s) {
+  return std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(s));
+}
+
 struct Unit {
   u32 shard = 0;
   std::vector<u32> slice;
   std::string journal;
   enum class State { kPending, kRunning, kDone } state = State::kPending;
-  u32 dispatches = 0;  // launches so far (first launch gets the chaos kill)
+  u32 dispatches = 0;
+  /// A peer said hello for this shard: later remote dispatches resume
+  /// the daemon's journal instead of starting it fresh.
+  bool ever_accepted = false;
   Clock::time_point eligible_at = Clock::time_point::min();
-  StatusFrame done_frame{};
-  bool have_done_frame = false;
+  std::optional<StatusFrame> done_frame;
 };
 
 struct Slot {
-  u32 id = 0;
-  u32 restarts = 0;  // deaths this slot has absorbed
-  bool retired = false;
   Rng backoff_rng{1};
-  // Running-worker state (valid while unit >= 0).
-  pid_t pid = -1;
-  int status_fd = -1;
-  int unit = -1;
-  FrameReader reader;
+  // Running-dispatch state (valid while unit != nullptr).
+  Unit* unit = nullptr;
+  std::unique_ptr<Session> session;
   Clock::time_point last_heard = Clock::time_point::min();
-  bool got_done = false;
-  bool got_error = false;
   std::string error_message;
+  RemoteHostProgress view;  // shard, completed, total, outcomes
 };
 
-}  // namespace
-
+/// Indices of `slice` not yet carrying a successful record in the shard
+/// journal at `path`.  Quarantined (harness-error) entries stay in the
+/// remaining set — the engine re-executes them on resume, exactly like a
+/// single-process resume would.  A missing or torn-at-frame-zero journal
+/// means the whole slice remains; a journal for a different campaign is
+/// a hard configuration error (FabricError).
 std::vector<u32> remaining_indices(const std::string& path,
                                    const std::vector<u32>& slice,
                                    u64 want_plan_fp) {
@@ -83,123 +86,47 @@ std::vector<u32> remaining_indices(const std::string& path,
   return remaining;
 }
 
-FabricCoordinator::FabricCoordinator(FabricOptions options)
-    : opt_(std::move(options)) {
-  if (opt_.workers == 0) opt_.workers = 1;
-  if (opt_.min_workers == 0) opt_.min_workers = 1;
-  opt_.min_workers = std::min(opt_.min_workers, opt_.workers);
-  if (opt_.journal_prefix.empty()) {
-    throw FabricError("fabric needs a journal prefix (--journal)");
-  }
-  if (opt_.worker_binary.empty()) {
-    throw FabricError("fabric needs the kfi_worker binary path");
-  }
-}
-
-std::vector<std::string> FabricCoordinator::journal_paths(u32 total) const {
-  const auto slices = shard_indices(total, opt_.workers);
-  std::vector<std::string> paths;
-  for (u32 s = 0; s < slices.size(); ++s) {
-    if (slices[s].empty()) continue;
-    paths.push_back(shard_journal_path(opt_.journal_prefix, s,
-                                       static_cast<u32>(slices.size())));
-  }
-  return paths;
-}
-
-inject::CampaignResult FabricCoordinator::run(const inject::CampaignPlan& plan,
-                                              SpliceStats* stats) {
-  const Clock::time_point run_start = Clock::now();
-  const u32 total = static_cast<u32>(plan.targets.size());
-  const u64 plan_fp = inject::plan_fingerprint(plan);
-  const std::string spec_hex = to_hex(serialize_campaign_spec(plan.spec));
-  char plan_fp_hex[17];
-  std::snprintf(plan_fp_hex, sizeof(plan_fp_hex), "%016llx",
-                static_cast<unsigned long long>(plan_fp));
-
-  const auto slices = shard_indices(total, opt_.workers);
-  const u32 shards = static_cast<u32>(slices.size());
-
-  std::vector<Unit> units;
-  for (u32 s = 0; s < shards; ++s) {
-    Unit u;
-    u.shard = s;
-    u.slice = slices[s];
-    u.journal = shard_journal_path(opt_.journal_prefix, s, shards);
-    if (u.slice.empty()) u.state = Unit::State::kDone;
-    units.push_back(std::move(u));
-  }
-
-  std::vector<Slot> slots(opt_.workers);
-  for (u32 s = 0; s < opt_.workers; ++s) {
-    slots[s].id = s;
-    slots[s].backoff_rng =
-        Rng(plan_fp ^ 0xFABC0FFull ^ (0x9E3779B97F4A7C15ull * (s + 1)));
-  }
-
-  u64 deaths = 0, redispatches = 0, backoff_waits = 0;
-  double backoff_seconds = 0.0;
-
-  auto live_slots = [&slots]() {
-    u32 n = 0;
-    for (const Slot& s : slots) n += s.retired ? 0 : 1;
-    return n;
-  };
-
-  auto kill_all = [&slots]() {
-    for (Slot& s : slots) {
-      if (s.pid > 0) {
-        ::kill(s.pid, SIGKILL);
-        ::waitpid(s.pid, nullptr, 0);
-        s.pid = -1;
-      }
-      if (s.status_fd >= 0) {
-        ::close(s.status_fd);
-        s.status_fd = -1;
-      }
-    }
-  };
-
-  auto spawn = [&](Slot& slot, Unit& unit,
-                   const std::vector<u32>& indices) {
+/// One kfi_worker subprocess running one dispatch, reporting over a pipe.
+class ProcessSession final : public Session {
+ public:
+  ProcessSession(const FabricOptions& opt, const Dispatch& d) {
     int fds[2];
     if (::pipe2(fds, O_CLOEXEC) != 0) {
       throw FabricError(std::string("pipe2 failed: ") + std::strerror(errno));
     }
     std::vector<std::string> args = {
-        opt_.worker_binary,
-        "--spec", spec_hex,
-        "--expect-plan-fp", plan_fp_hex,
-        "--indices", format_index_ranges(indices),
-        "--journal", unit.journal,
-        "--shard", std::to_string(unit.shard),
-        "--shards", std::to_string(shards),
+        opt.worker_binary,
+        "--spec", to_hex(serialize_campaign_spec(d.plan.spec)),
+        "--expect-plan-fp", fingerprint_hex(d.plan_fp),
+        "--indices", format_index_ranges(d.missing),
+        "--journal", d.journal,
+        "--shard", std::to_string(d.shard),
+        "--shards", std::to_string(d.shards),
         "--status-fd", std::to_string(fds[1]),
-        "--jobs", std::to_string(opt_.jobs_per_worker),
-        "--heartbeat", std::to_string(opt_.heartbeat_seconds),
-        "--retries", std::to_string(opt_.retries),
+        "--jobs", std::to_string(opt.jobs_per_worker),
+        "--heartbeat", std::to_string(opt.heartbeat_seconds),
+        "--retries", std::to_string(opt.retries),
         "--journal-flush",
-        opt_.flush == inject::FlushPolicy::kFsync ? "fsync" : "flush",
+        opt.flush == inject::FlushPolicy::kFsync ? "fsync" : "flush",
     };
-    if (opt_.stall_seconds > 0.0) {
+    if (opt.stall_seconds > 0.0) {
       args.push_back("--stall");
-      args.push_back(std::to_string(opt_.stall_seconds));
+      args.push_back(std::to_string(opt.stall_seconds));
     }
-    if (opt_.chaos_kill_after > 0 && unit.dispatches == 0) {
+    if (opt.chaos_kill_after > 0 && d.launches == 0) {
       args.push_back("--chaos-kill-after");
-      args.push_back(std::to_string(opt_.chaos_kill_after));
+      args.push_back(std::to_string(opt.chaos_kill_after));
     }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
+    pid_ = ::fork();
+    if (pid_ < 0) {
       ::close(fds[0]);
       ::close(fds[1]);
       throw FabricError(std::string("fork failed: ") + std::strerror(errno));
     }
-    if (pid == 0) {
+    if (pid_ == 0) {
       // Child: keep the write end across exec, drop everything else.
       ::fcntl(fds[1], F_SETFD, 0);
       std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
       for (std::string& a : args) argv.push_back(a.data());
       argv.push_back(nullptr);
       ::execv(argv[0], argv.data());
@@ -208,117 +135,231 @@ inject::CampaignResult FabricCoordinator::run(const inject::CampaignPlan& plan,
       ::_exit(127);
     }
     ::close(fds[1]);
-    slot.pid = pid;
-    slot.status_fd = fds[0];
-    slot.unit = static_cast<int>(&unit - units.data());
-    slot.reader = FrameReader();
-    slot.last_heard = Clock::now();
-    slot.got_done = false;
-    slot.got_error = false;
-    slot.error_message.clear();
-    unit.state = Unit::State::kRunning;
-    if (unit.dispatches > 0) ++redispatches;
-    ++unit.dispatches;
-    if (opt_.verbose) {
+    fd_ = fds[0];
+    if (opt.verbose) {
       std::fprintf(stderr,
                    "fabric: slot %u -> shard %u pid %d (%zu indices%s)\n",
-                   slot.id, unit.shard, static_cast<int>(pid), indices.size(),
-                   unit.dispatches > 1 ? ", re-dispatch" : "");
+                   d.slot, d.shard, static_cast<int>(pid_), d.missing.size(),
+                   d.launches > 0 ? ", re-dispatch" : "");
     }
+  }
+
+  ~ProcessSession() override {
+    if (pid_ > 0) {
+      ::kill(pid_, SIGKILL);
+      ::waitpid(pid_, nullptr, 0);
+    }
+    ::close(fd_);
+  }
+
+  int fd() const override { return fd_; }
+
+  std::optional<SessionEnd> pump(
+      const std::function<void(const StatusFrame&)>& on_frame) override {
+    u8 buf[4096];
+    const ssize_t n = ::read(fd_, buf, sizeof(buf));
+    if (n < 0 && errno == EINTR) return std::nullopt;
+    if (n > 0) {
+      reader_.feed(buf, static_cast<size_t>(n));
+      while (auto frame = reader_.next()) {
+        got_done_ = got_done_ || frame->type == FrameType::kDone;
+        on_frame(*frame);
+      }
+      if (!reader_.corrupted()) return std::nullopt;
+      // Garbled stream: the worker is not speaking the protocol.
+      ::kill(pid_, SIGKILL);
+    }
+    // EOF (or a garbled stream): the worker exited or died.
+    int status = 0;
+    ::waitpid(pid_, &status, 0);
+    pid_ = -1;
+    if (reader_.corrupted()) return SessionEnd{false, "corrupt status stream"};
+    if (WIFEXITED(status) && WEXITSTATUS(status) == 0 && got_done_) {
+      return SessionEnd{true, ""};
+    }
+    return SessionEnd{false,
+                      WIFSIGNALED(status)
+                          ? "signal " + std::to_string(WTERMSIG(status))
+                          : "exit " + std::to_string(WEXITSTATUS(status))};
+  }
+
+ private:
+  pid_t pid_ = -1;
+  int fd_ = -1;
+  FrameReader reader_;
+  bool got_done_ = false;
+};
+
+}  // namespace
+
+Coordinator::Coordinator(Config config, SessionOpener open)
+    : cfg_(std::move(config)), open_(std::move(open)) {
+  const u32 slots = static_cast<u32>(cfg_.names.size());
+  cfg_.min_workers = std::clamp<u32>(cfg_.min_workers, 1, slots);
+  if (cfg_.journal_prefix.empty()) {
+    throw FabricError("fabric needs a journal prefix (--journal)");
+  }
+}
+
+std::vector<std::string> Coordinator::journal_paths(u32 total) const {
+  const u32 shards = static_cast<u32>(cfg_.names.size());
+  const auto slices = shard_indices(total, shards);
+  std::vector<std::string> paths;
+  for (u32 s = 0; s < shards; ++s) {
+    if (slices[s].empty()) continue;
+    paths.push_back(shard_journal_path(cfg_.journal_prefix, s, shards));
+  }
+  return paths;
+}
+
+inject::CampaignResult Coordinator::run(const inject::CampaignPlan& plan,
+                                        SpliceStats* stats) {
+  const Clock::time_point run_start = Clock::now();
+  const u32 total = static_cast<u32>(plan.targets.size());
+  const u64 plan_fp = inject::plan_fingerprint(plan);
+  const u32 shards = static_cast<u32>(cfg_.names.size());
+  const auto slices = shard_indices(total, shards);
+
+  std::vector<Unit> units(shards);
+  std::vector<Slot> slots(shards);
+  ledger_.assign(shards, inject::FabricHostStats{});
+  for (u32 s = 0; s < shards; ++s) {
+    units[s].shard = s;
+    units[s].slice = slices[s];
+    units[s].journal = shard_journal_path(cfg_.journal_prefix, s, shards);
+    if (units[s].slice.empty()) units[s].state = Unit::State::kDone;
+    slots[s].backoff_rng =
+        Rng(plan_fp ^ 0xFABC0FFull ^ (0x9E3779B97F4A7C15ull * (s + 1)));
+    ledger_[s].host = cfg_.names[s];
+  }
+
+  // A slot that absorbed more than max_restarts deaths is retired.
+  auto retired = [this](u32 s) {
+    return ledger_[s].deaths > cfg_.max_restarts;
+  };
+  auto live_slots = [&]() {
+    u32 n = 0;
+    for (u32 s = 0; s < shards; ++s) n += retired(s) ? 0 : 1;
+    return n;
   };
 
-  // Reap a finished/dead worker and advance its unit's state machine.
-  auto reap = [&](Slot& slot) {
-    int status = 0;
-    ::waitpid(slot.pid, &status, 0);
-    ::close(slot.status_fd);
-    Unit& unit = units[static_cast<size_t>(slot.unit)];
-    slot.pid = -1;
-    slot.status_fd = -1;
-    slot.unit = -1;
-    const bool clean = WIFEXITED(status) && WEXITSTATUS(status) == 0;
-    if (clean && slot.got_done) {
+  auto emit_progress = [&]() {
+    if (!cfg_.progress) return;
+    std::vector<RemoteHostProgress> snap;
+    for (u32 s = 0; s < shards; ++s) {
+      snap.push_back(slots[s].view);
+      snap.back().host = cfg_.names[s];
+      snap.back().connected = slots[s].session != nullptr;
+      snap.back().retired = retired(s);
+    }
+    cfg_.progress(snap);
+  };
+
+  // End a dispatch and advance its unit's state machine: done, or a
+  // death that backs off, re-enqueues, and may retire the slot.
+  auto end_session = [&](u32 s, const SessionEnd& end) {
+    Slot& slot = slots[s];
+    Unit& unit = *slot.unit;
+    slot.session.reset();
+    slot.unit = nullptr;
+    slot.view = {};
+    if (end.done) {
       unit.state = Unit::State::kDone;
-      if (opt_.verbose) {
-        std::fprintf(stderr, "fabric: shard %u done (slot %u)\n", unit.shard,
-                     slot.id);
+      ledger_[s].records += unit.slice.size();
+      if (cfg_.verbose) {
+        std::fprintf(stderr, "fabric: shard %u done (%s %s)\n", unit.shard,
+                     cfg_.noun, cfg_.names[s].c_str());
       }
+      emit_progress();
       return;
     }
-    // Death: recover what the journal holds and re-dispatch the rest.
-    ++deaths;
-    ++slot.restarts;
-    const std::vector<u32> remaining =
-        remaining_indices(unit.journal, unit.slice, plan_fp);
-    if (opt_.verbose) {
-      std::fprintf(stderr,
-                   "fabric: shard %u worker died (%s%d), %zu of %zu "
-                   "indices remain%s%s\n",
-                   unit.shard, WIFSIGNALED(status) ? "signal " : "exit ",
-                   WIFSIGNALED(status) ? WTERMSIG(status)
-                                       : WEXITSTATUS(status),
-                   remaining.size(), unit.slice.size(),
-                   slot.got_error ? ": " : "",
-                   slot.got_error ? slot.error_message.c_str() : "");
+    const u64 deaths = ++ledger_[s].deaths;
+    if (cfg_.verbose) {
+      std::fprintf(stderr, "fabric: %s %s lost shard %u (%s)%s%s\n",
+                   cfg_.noun, cfg_.names[s].c_str(), unit.shard,
+                   end.why.c_str(), slot.error_message.empty() ? "" : ": ",
+                   slot.error_message.c_str());
     }
-    if (remaining.empty()) {
-      // Died after its last fsync'd record: nothing left to run.
-      unit.state = Unit::State::kDone;
-    } else {
-      unit.state = Unit::State::kPending;
-      double wait = 0.0;
-      if (opt_.backoff_base > 0.0) {
-        const double exp =
-            opt_.backoff_base *
-            static_cast<double>(1ull << std::min<u32>(slot.restarts - 1, 30));
-        wait = std::min(opt_.backoff_cap, exp) *
-               (0.5 + slot.backoff_rng.next_double());
-        ++backoff_waits;
-        backoff_seconds += wait;
-      }
-      unit.eligible_at =
-          Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                             std::chrono::duration<double>(wait));
+    slot.error_message.clear();
+    unit.state = Unit::State::kPending;
+    double wait = 0.0;
+    if (cfg_.backoff_base > 0.0) {
+      const double exp =
+          cfg_.backoff_base *
+          static_cast<double>(1ull << std::min<u64>(deaths - 1, 30));
+      wait = std::min(cfg_.backoff_cap, exp) *
+             (0.5 + slot.backoff_rng.next_double());
+      ++ledger_[s].backoff_waits;
+      ledger_[s].backoff_seconds += wait;
     }
-    if (slot.restarts > opt_.max_restarts_per_slot) {
-      slot.retired = true;
-      if (opt_.verbose) {
-        std::fprintf(stderr, "fabric: slot %u retired after %u deaths\n",
-                     slot.id, slot.restarts);
+    unit.eligible_at = Clock::now() + from_seconds(wait);
+    if (retired(s)) {
+      if (cfg_.verbose) {
+        std::fprintf(stderr, "fabric: %s %s retired after %llu deaths\n",
+                     cfg_.noun, cfg_.names[s].c_str(),
+                     static_cast<unsigned long long>(deaths));
       }
-      if (live_slots() < opt_.min_workers) {
-        throw FabricError(
-            "fabric degraded below --min-workers (" +
-            std::to_string(live_slots()) + " live < " +
-            std::to_string(opt_.min_workers) +
-            "); shard journals are intact — rerun to resume");
+      if (live_slots() < cfg_.min_workers) {
+        throw FabricError("fabric degraded below --min-workers (" +
+                          std::to_string(live_slots()) + " live < " +
+                          std::to_string(cfg_.min_workers) +
+                          "); shard journals are intact — rerun to resume");
       }
     }
   };
 
-  auto handle_frame = [&](Slot& slot, const StatusFrame& frame) {
+  auto dispatch = [&](u32 s, Unit& unit) {
+    Slot& slot = slots[s];
+    std::vector<u32> missing = unit.slice;
+    if (cfg_.local_journals || !cfg_.fresh) {
+      missing = remaining_indices(unit.journal, unit.slice, plan_fp);
+      if (missing.empty()) {
+        unit.state = Unit::State::kDone;
+        return;
+      }
+    }
+    ++ledger_[s].dispatches;
+    const Dispatch d{plan,       plan_fp,      s,
+                     unit.shard, shards,       unit.slice,
+                     missing,    unit.journal, unit.dispatches,
+                     cfg_.fresh && !unit.ever_accepted};
+    ++unit.dispatches;
+    unit.state = Unit::State::kRunning;
+    slot.unit = &unit;
+    slot.view.shard = unit.shard;
+    slot.view.total = static_cast<u32>(unit.slice.size());
     slot.last_heard = Clock::now();
+    std::string why;
+    slot.session = open_(d, &why);
+    if (!slot.session) end_session(s, SessionEnd{false, why});
+  };
+
+  auto on_frame = [&](Slot& slot, const StatusFrame& frame) {
     switch (frame.type) {
       case FrameType::kHello:
         if (frame.plan_fingerprint != plan_fp) {
           throw FabricError(
-              "worker rebuilt a different plan (fingerprint mismatch): "
-              "coordinator and worker binaries disagree");
+              "a peer rebuilt a different plan (fingerprint mismatch): "
+              "coordinator and peer binaries disagree");
         }
+        slot.unit->ever_accepted = true;
         break;
       case FrameType::kProgress:
       case FrameType::kHeartbeat:
-        break;
-      case FrameType::kDone:
-        slot.got_done = true;
-        if (slot.unit >= 0) {
-          Unit& unit = units[static_cast<size_t>(slot.unit)];
-          unit.done_frame = frame;
-          unit.have_done_frame = true;
+        if (frame.type == FrameType::kProgress ||
+            frame.done > slot.view.completed) {
+          slot.view.completed = frame.done;
+          slot.view.outcomes = frame.outcomes;
+          emit_progress();
         }
         break;
+      case FrameType::kDone:
+        slot.unit->done_frame = frame;
+        slot.view.completed = slot.view.total;
+        slot.view.outcomes = frame.outcomes;
+        emit_progress();
+        break;
       case FrameType::kError:
-        slot.got_error = true;
         slot.error_message = frame.message;
         break;
     }
@@ -333,138 +374,123 @@ inject::CampaignResult FabricCoordinator::run(const inject::CampaignPlan& plan,
         if (unit.state != Unit::State::kPending || unit.eligible_at > now) {
           continue;
         }
-        Slot* idle = nullptr;
-        for (Slot& s : slots) {
-          if (!s.retired && s.unit < 0) {
-            idle = &s;
-            break;
-          }
+        u32 idle = 0;
+        while (idle < shards &&
+               (retired(idle) || slots[idle].unit != nullptr)) {
+          ++idle;
         }
-        if (idle == nullptr) break;
-        const std::vector<u32> remaining =
-            remaining_indices(unit.journal, unit.slice, plan_fp);
-        if (remaining.empty()) {
-          unit.state = Unit::State::kDone;
-          continue;
-        }
-        spawn(*idle, unit, remaining);
+        if (idle == shards) break;
+        dispatch(idle, unit);
       }
 
-      u32 pending = 0, running = 0;
-      Clock::time_point next_eligible = Clock::time_point::max();
+      bool busy = false;
+      Clock::time_point deadline = now + std::chrono::milliseconds(500);
       for (const Unit& u : units) {
+        busy = busy || u.state != Unit::State::kDone;
         if (u.state == Unit::State::kPending) {
-          ++pending;
-          next_eligible = std::min(next_eligible, u.eligible_at);
-        } else if (u.state == Unit::State::kRunning) {
-          ++running;
+          deadline = std::min(deadline, u.eligible_at);
         }
       }
-      if (pending == 0 && running == 0) break;  // every unit done
+      if (!busy) break;  // every unit done
 
-      if (running == 0) {
-        // Pending work, nobody running: either we are waiting out a
-        // backoff, or every slot is retired.
-        if (live_slots() == 0 || live_slots() < opt_.min_workers) {
-          throw FabricError(
-              "fabric degraded below --min-workers with work pending; "
-              "shard journals are intact — rerun to resume");
-        }
-        std::this_thread::sleep_until(
-            std::min(next_eligible, now + std::chrono::milliseconds(100)));
-        continue;
-      }
-
-      // Wait for worker traffic, a lease expiry, or a backoff expiry.
+      // Wait for session traffic, a lease expiry, or a backoff expiry (a
+      // fabric with too few live slots to make progress has thrown).
       std::vector<pollfd> fds;
-      std::vector<Slot*> fd_slots;
-      Clock::time_point deadline =
-          now + std::chrono::milliseconds(500);
-      if (pending > 0) deadline = std::min(deadline, next_eligible);
-      for (Slot& s : slots) {
-        if (s.unit < 0) continue;
-        fds.push_back(pollfd{s.status_fd, POLLIN, 0});
-        fd_slots.push_back(&s);
-        deadline = std::min(
-            deadline, s.last_heard +
-                          std::chrono::duration_cast<Clock::duration>(
-                              std::chrono::duration<double>(
-                                  opt_.lease_seconds)));
+      std::vector<u32> fd_slots;
+      for (u32 s = 0; s < shards; ++s) {
+        if (!slots[s].session) continue;
+        fds.push_back(pollfd{slots[s].session->fd(), POLLIN, 0});
+        fd_slots.push_back(s);
+        deadline = std::min(deadline, slots[s].last_heard +
+                                          from_seconds(cfg_.lease_seconds));
       }
-      int timeout_ms = static_cast<int>(std::chrono::duration_cast<
-                                            std::chrono::milliseconds>(
-                                            deadline - Clock::now())
-                                            .count());
-      timeout_ms = std::max(timeout_ms, 10);
-      const int nready = ::poll(fds.data(),
-                                static_cast<nfds_t>(fds.size()), timeout_ms);
+      const auto timeout =
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              deadline - Clock::now());
+      const int nready =
+          ::poll(fds.data(), static_cast<nfds_t>(fds.size()),
+                 std::max(static_cast<int>(timeout.count()), 10));
       if (nready < 0 && errno != EINTR) {
-        throw FabricError(std::string("poll failed: ") +
-                          std::strerror(errno));
+        throw FabricError(std::string("poll failed: ") + std::strerror(errno));
       }
 
       for (size_t i = 0; i < fds.size(); ++i) {
-        Slot& slot = *fd_slots[i];
-        if (slot.unit < 0) continue;  // reaped earlier this pass
+        Slot& slot = slots[fd_slots[i]];
         if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        u8 buf[4096];
-        const ssize_t n = ::read(slot.status_fd, buf, sizeof(buf));
-        if (n > 0) {
-          slot.reader.feed(buf, static_cast<size_t>(n));
-          while (auto frame = slot.reader.next()) handle_frame(slot, *frame);
-          if (slot.reader.corrupted()) {
-            // Garbled stream: the worker is not speaking the protocol.
-            ::kill(slot.pid, SIGKILL);
-            reap(slot);
-          }
-        } else if (n == 0 || (n < 0 && errno != EINTR)) {
-          reap(slot);  // EOF: the worker exited or died
-        }
+        slot.last_heard = Clock::now();
+        const auto end = slot.session->pump(
+            [&](const StatusFrame& frame) { on_frame(slot, frame); });
+        if (end) end_session(fd_slots[i], *end);
       }
 
-      // Lease check: silent workers are presumed wedged.
+      // Lease check: silent sessions are presumed wedged or partitioned.
       const Clock::time_point after = Clock::now();
-      for (Slot& s : slots) {
-        if (s.unit < 0) continue;
-        if (seconds_between(s.last_heard, after) > opt_.lease_seconds) {
-          if (opt_.verbose) {
-            std::fprintf(stderr,
-                         "fabric: slot %u missed its lease (%.1fs), "
-                         "killing pid %d\n",
-                         s.id, opt_.lease_seconds, static_cast<int>(s.pid));
-          }
-          ::kill(s.pid, SIGKILL);
-          reap(s);
+      for (u32 s = 0; s < shards; ++s) {
+        if (!slots[s].session ||
+            seconds_between(slots[s].last_heard, after) <=
+                cfg_.lease_seconds) {
+          continue;
         }
+        ++ledger_[s].lease_revocations;
+        if (cfg_.verbose) {
+          std::fprintf(stderr,
+                       "fabric: %s %s missed its lease (%.1fs), revoking "
+                       "session\n",
+                       cfg_.noun, cfg_.names[s].c_str(), cfg_.lease_seconds);
+        }
+        end_session(s, SessionEnd{false, "lease expired"});
       }
     }
   } catch (...) {
-    kill_all();
+    for (Slot& s : slots) s.session.reset();
     throw;
   }
-  kill_all();  // no-op on the clean path; belt and braces
 
   inject::CampaignResult result =
       splice_journals(plan, journal_paths(total), stats);
-  result.fabric_workers = opt_.workers;
-  result.fabric_worker_deaths = deaths;
-  result.fabric_redispatches = redispatches;
-  result.fabric_backoff_waits = backoff_waits;
-  result.fabric_backoff_seconds = backoff_seconds;
-  for (const Unit& u : units) {
-    if (!u.have_done_frame) continue;
-    result.stalls += u.done_frame.stalls;
-    result.harness_retries += u.done_frame.harness_retries;
-    result.retry_backoff_waits += u.done_frame.backoff_waits;
-    result.retry_backoff_seconds += u.done_frame.backoff_seconds;
-    result.journal_flushes += u.done_frame.executed;
+  result.fabric_workers = shards;
+  for (const inject::FabricHostStats& h : ledger_) {
+    result.fabric_worker_deaths += h.deaths;
+    result.fabric_backoff_waits += h.backoff_waits;
+    result.fabric_backoff_seconds += h.backoff_seconds;
   }
-  result.throughput.jobs = opt_.workers * opt_.jobs_per_worker;
+  if (!cfg_.local_journals) result.fabric_hosts = ledger_;
+  for (const Unit& u : units) {
+    if (u.dispatches > 1) result.fabric_redispatches += u.dispatches - 1;
+    if (!u.done_frame) continue;
+    result.stalls += u.done_frame->stalls;
+    result.harness_retries += u.done_frame->harness_retries;
+    result.retry_backoff_waits += u.done_frame->backoff_waits;
+    result.retry_backoff_seconds += u.done_frame->backoff_seconds;
+    result.journal_flushes += u.done_frame->executed;
+  }
+  result.throughput.jobs = shards * cfg_.jobs_per_slot;
   result.throughput.plan_seconds = plan.plan_seconds;
   result.throughput.run_seconds = seconds_between(run_start, Clock::now());
   result.throughput.wall_seconds =
       result.throughput.plan_seconds + result.throughput.run_seconds;
   return result;
+}
+
+FabricCoordinator::FabricCoordinator(FabricOptions options, SessionOpener open)
+    : Coordinator(
+          [&options]() {
+            Config c(options);
+            c.noun = "slot";
+            for (u32 s = 0; s < std::max<u32>(options.workers, 1); ++s) {
+              c.names.push_back(std::to_string(s));
+            }
+            c.max_restarts = options.max_restarts_per_slot;
+            c.jobs_per_slot = options.jobs_per_worker;
+            return c;
+          }(),
+          open ? std::move(open)
+               : SessionOpener([options](const Dispatch& d, std::string*) {
+                   return std::make_unique<ProcessSession>(options, d);
+                 })) {
+  if (options.worker_binary.empty()) {
+    throw FabricError("fabric needs the kfi_worker binary path");
+  }
 }
 
 }  // namespace kfi::fabric

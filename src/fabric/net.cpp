@@ -19,30 +19,27 @@ namespace kfi::fabric {
 
 namespace {
 
-constexpr u32 kMsgMagic = 0x4B464E4D;  // "KFNM"
 // Journal blobs dominate message size; a 16-record shard is a few KB and
 // even a million-record shard stays far under this.
 constexpr u32 kMaxMsgLen = 256u << 20;
+// Every other message is control traffic (the largest, kSubmit, carries a
+// spec blob and an index range list), so a peer cannot make the reader
+// buffer more than this before it has sent a single complete message.
+constexpr u32 kMaxControlMsgLen = 1u << 20;
 
-using codec::Cursor;
-using codec::fnv1a;
 using codec::put8;
-using codec::put32;
-using codec::put64;
-using codec::put_blob;
-using codec::put_double;
-using codec::put_string;
 
 std::string errno_text(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
-}  // namespace
-
-bool write_all(int fd, const void* data, size_t size) {
+/// Hand the whole buffer to `put` (write(2) or send(2)), retrying short
+/// writes and EINTR.
+template <typename Put>
+bool put_all(const void* data, size_t size, Put put) {
   const u8* p = static_cast<const u8*>(data);
   while (size > 0) {
-    const ssize_t n = ::write(fd, p, size);
+    const ssize_t n = put(p, size);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
@@ -53,18 +50,46 @@ bool write_all(int fd, const void* data, size_t size) {
   return true;
 }
 
+template <typename IO, typename Req>
+void submit_fields(IO& io, Req& req) {
+  io(req.protocol);
+  io(req.expect_plan_fp);
+  io(req.shard);
+  io(req.shards);
+  io(req.fresh);
+  io(req.jobs);
+  io(req.retries);
+  io(req.heartbeat_seconds);
+  io(req.stall_seconds);
+  io(req.flush);
+  io(req.indices);
+  io(req.spec);
+}
+
+template <typename IO, typename Info>
+void accept_fields(IO& io, Info& info) {
+  io(info.plan_fingerprint);
+  io(info.resumed);
+  io(info.pid);
+}
+
+template <typename IO, typename R>
+void refusal_fields(IO& io, R& refusal) {
+  io(refusal.code, RefuseCode::kSkew, RefuseCode::kBadRequest);
+  io(refusal.reason);
+}
+
+}  // namespace
+
+bool write_all(int fd, const void* data, size_t size) {
+  return put_all(data, size,
+                 [fd](const u8* p, size_t n) { return ::write(fd, p, n); });
+}
+
 bool send_all(int fd, const void* data, size_t size) {
-  const u8* p = static_cast<const u8*>(data);
-  while (size > 0) {
-    const ssize_t n = ::send(fd, p, size, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += n;
-    size -= static_cast<size_t>(n);
-  }
-  return true;
+  return put_all(data, size, [fd](const u8* p, size_t n) {
+    return ::send(fd, p, n, MSG_NOSIGNAL);
+  });
 }
 
 bool read_exact(int fd, void* data, size_t size) {
@@ -195,14 +220,7 @@ std::vector<u8> encode_message(const NetMessage& msg) {
   payload.reserve(msg.body.size() + 1);
   put8(payload, static_cast<u8>(msg.type));
   payload.insert(payload.end(), msg.body.begin(), msg.body.end());
-
-  std::vector<u8> out;
-  out.reserve(payload.size() + 16);
-  put32(out, kMsgMagic);
-  put32(out, static_cast<u32>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  put64(out, fnv1a(payload.data(), payload.size()));
-  return out;
+  return codec::seal(kMsgMagic, payload);
 }
 
 bool send_message(int fd, const NetMessage& msg) {
@@ -210,125 +228,46 @@ bool send_message(int fd, const NetMessage& msg) {
   return send_all(fd, bytes.data(), bytes.size());
 }
 
-void MsgReader::feed(const u8* data, size_t size) {
-  if (pos_ > 0 && pos_ == buf_.size()) {
-    buf_.clear();
-    pos_ = 0;
-  } else if (pos_ > 65536) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(pos_));
-    pos_ = 0;
-  }
-  buf_.insert(buf_.end(), data, data + size);
-}
+void MsgReader::feed(const u8* data, size_t size) { msgs_.feed(data, size); }
 
 std::optional<NetMessage> MsgReader::next() {
-  if (corrupted_) return std::nullopt;
-  Cursor c{buf_, pos_};
-  if (!c.have(8)) return std::nullopt;
-  if (c.get32() != kMsgMagic) {
-    corrupted_ = true;
-    return std::nullopt;
-  }
-  const u32 len = c.get32();
-  if (len < 1 || len > kMaxMsgLen) {
-    corrupted_ = true;
-    return std::nullopt;
-  }
-  if (!c.have(len + 8)) return std::nullopt;  // partial message: wait
-  const size_t payload_at = c.pos;
-  c.pos += len;
-  const u64 checksum = c.get64();
-  if (checksum != fnv1a(buf_.data() + payload_at, len)) {
-    corrupted_ = true;
-    return std::nullopt;
-  }
-  const u8 type = buf_[payload_at];
+  auto payload = msgs_.next([](u8 type) {
+    return type == static_cast<u8>(MsgType::kJournal) ? kMaxMsgLen
+                                                       : kMaxControlMsgLen;
+  });
+  if (!payload) return std::nullopt;
+  const u8 type = payload->front();
   if (type < static_cast<u8>(MsgType::kSubmit) ||
       type > static_cast<u8>(MsgType::kJournal)) {
-    corrupted_ = true;
+    msgs_.corrupt();
     return std::nullopt;
   }
-  NetMessage msg;
-  msg.type = static_cast<MsgType>(type);
-  msg.body.assign(buf_.begin() + static_cast<long>(payload_at + 1),
-                  buf_.begin() + static_cast<long>(payload_at + len));
-  pos_ = c.pos;
-  return msg;
+  payload->erase(payload->begin());
+  return NetMessage{static_cast<MsgType>(type), std::move(*payload)};
 }
 
 std::vector<u8> encode_submit(const SubmitRequest& req) {
-  std::vector<u8> out;
-  put8(out, req.protocol);
-  put64(out, req.expect_plan_fp);
-  put32(out, req.shard);
-  put32(out, req.shards);
-  put8(out, req.fresh ? 1 : 0);
-  put32(out, req.jobs);
-  put32(out, req.retries);
-  put_double(out, req.heartbeat_seconds);
-  put_double(out, req.stall_seconds);
-  put8(out, req.flush);
-  put_string(out, req.indices);
-  put_blob(out, req.spec);
-  return out;
+  return codec::encode(submit_fields<codec::Writer, const SubmitRequest>, req);
 }
 
 std::optional<SubmitRequest> decode_submit(const std::vector<u8>& body) {
-  Cursor c{body, 0};
-  SubmitRequest req;
-  req.protocol = c.get8();
-  req.expect_plan_fp = c.get64();
-  req.shard = c.get32();
-  req.shards = c.get32();
-  req.fresh = c.get8() != 0;
-  req.jobs = c.get32();
-  req.retries = c.get32();
-  req.heartbeat_seconds = c.get_double();
-  req.stall_seconds = c.get_double();
-  req.flush = c.get8();
-  req.indices = c.get_string();
-  req.spec = c.get_blob();
-  if (!c.ok || c.pos != body.size()) return std::nullopt;
-  return req;
+  return codec::decode(submit_fields<codec::Reader, SubmitRequest>, body);
 }
 
 std::vector<u8> encode_accept(const AcceptInfo& info) {
-  std::vector<u8> out;
-  put64(out, info.plan_fingerprint);
-  put32(out, info.resumed);
-  put32(out, info.pid);
-  return out;
+  return codec::encode(accept_fields<codec::Writer, const AcceptInfo>, info);
 }
 
 std::optional<AcceptInfo> decode_accept(const std::vector<u8>& body) {
-  Cursor c{body, 0};
-  AcceptInfo info;
-  info.plan_fingerprint = c.get64();
-  info.resumed = c.get32();
-  info.pid = c.get32();
-  if (!c.ok || c.pos != body.size()) return std::nullopt;
-  return info;
+  return codec::decode(accept_fields<codec::Reader, AcceptInfo>, body);
 }
 
 std::vector<u8> encode_refusal(const Refusal& refusal) {
-  std::vector<u8> out;
-  put8(out, static_cast<u8>(refusal.code));
-  put_string(out, refusal.reason);
-  return out;
+  return codec::encode(refusal_fields<codec::Writer, const Refusal>, refusal);
 }
 
 std::optional<Refusal> decode_refusal(const std::vector<u8>& body) {
-  Cursor c{body, 0};
-  Refusal refusal;
-  const u8 code = c.get8();
-  if (code < static_cast<u8>(RefuseCode::kSkew) ||
-      code > static_cast<u8>(RefuseCode::kBadRequest)) {
-    return std::nullopt;
-  }
-  refusal.code = static_cast<RefuseCode>(code);
-  refusal.reason = c.get_string();
-  if (!c.ok || c.pos != body.size()) return std::nullopt;
-  return refusal;
+  return codec::decode(refusal_fields<codec::Reader, Refusal>, body);
 }
 
 std::optional<std::vector<HostSpec>> parse_host_list(const std::string& text) {

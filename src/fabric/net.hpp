@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "fabric/codec.hpp"
 
 namespace kfi::fabric {
 
@@ -75,6 +76,8 @@ enum class MsgType : u8 {
   kJournal = 5,  // daemon -> client: completed shard journal bytes
 };
 
+constexpr u32 kMsgMagic = 0x4B464E4D;  // "KFNM"
+
 struct NetMessage {
   MsgType type = MsgType::kStatus;
   std::vector<u8> body;
@@ -88,17 +91,17 @@ bool send_message(int fd, const NetMessage& msg);
 /// Incremental KFNM decoder, same contract as wire.hpp's FrameReader:
 /// feed() raw socket bytes, next() pops complete messages, corruption
 /// (bad magic, bad checksum, unknown type, absurd length) latches
-/// corrupted() and the peer should be dropped.
+/// corrupted() and the peer should be dropped.  Only kJournal may be
+/// longer than 1 MiB (up to 256 MiB); an over-long header of any other
+/// type is refused as soon as its type byte arrives.
 class MsgReader {
  public:
   void feed(const u8* data, size_t size);
   std::optional<NetMessage> next();
-  bool corrupted() const { return corrupted_; }
+  bool corrupted() const { return msgs_.corrupted(); }
 
  private:
-  std::vector<u8> buf_;
-  size_t pos_ = 0;
-  bool corrupted_ = false;
+  codec::Unsealer msgs_{kMsgMagic};
 };
 
 /// Why a daemon refused a submission.  kSkew and kBadRequest are hard

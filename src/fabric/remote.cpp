@@ -1,68 +1,17 @@
 #include "fabric/remote.hpp"
 
-#include <poll.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <thread>
 
-#include "common/rng.hpp"
 #include "fabric/shard.hpp"
 
 namespace kfi::fabric {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_between(Clock::time_point a, Clock::time_point b) {
-  return std::chrono::duration<double>(b - a).count();
-}
-
-Clock::duration from_seconds(double s) {
-  return std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(s));
-}
-
-struct Unit {
-  u32 shard = 0;
-  std::vector<u32> slice;
-  std::string journal;  // client-side path the retrieved journal lands at
-  enum class State { kPending, kRunning, kDone } state = State::kPending;
-  u32 dispatches = 0;
-  /// A daemon accepted this shard at least once: later dispatches send
-  /// fresh=false so the daemon resumes whatever its journal recovered.
-  bool ever_accepted = false;
-  Clock::time_point eligible_at = Clock::time_point::min();
-  StatusFrame done_frame{};
-  bool have_done_frame = false;
-};
-
-struct Host {
-  u32 id = 0;
-  HostSpec spec;
-  u32 restarts = 0;  // deaths this host has absorbed
-  bool retired = false;
-  Rng backoff_rng{1};
-  inject::FabricHostStats stats;
-  // Live-session state (valid while unit >= 0).
-  int fd = -1;
-  int unit = -1;
-  MsgReader msgs;
-  FrameReader frames;
-  bool accepted = false;
-  bool got_error = false;
-  std::string error_message;
-  Clock::time_point last_heard = Clock::time_point::min();
-  // Latest tally for the progress snapshot.
-  u32 seen_completed = 0;
-  std::array<u32, kFrameOutcomeSlots> seen_outcomes{};
-};
 
 /// Atomically land the retrieved journal bytes: a torn write must never
 /// masquerade as a complete shard journal.
@@ -85,458 +34,140 @@ void write_journal_bytes(const std::string& path, const std::vector<u8>& bytes) 
   }
 }
 
+/// One KFNM session with a daemon running one dispatch.
+class TcpSession final : public Session {
+ public:
+  TcpSession(int fd, const Dispatch& d, const std::string& host, bool verbose)
+      : fd_(fd), journal_(d.journal), host_(host),
+        verbose_(verbose) {}
+  ~TcpSession() override { ::close(fd_); }
+
+  int fd() const override { return fd_; }
+
+  std::optional<SessionEnd> pump(
+      const std::function<void(const StatusFrame&)>& on_frame) override {
+    u8 buf[65536];
+    const ssize_t n = ::read(fd_, buf, sizeof(buf));
+    if (n == 0) return SessionEnd{false, "connection closed"};
+    if (n < 0) {
+      if (errno == EINTR) return std::nullopt;
+      return SessionEnd{false, "read failed"};
+    }
+    msgs_.feed(buf, static_cast<size_t>(n));
+    while (auto msg = msgs_.next()) {
+      switch (msg->type) {
+        case MsgType::kAccept: {
+          const auto info = decode_accept(msg->body);
+          if (!info) return SessionEnd{false, "malformed accept"};
+          if (verbose_ && info->resumed > 0) {
+            std::fprintf(stderr,
+                         "fabric: host %s resumed %u journaled indices\n",
+                         host_.c_str(), info->resumed);
+          }
+          break;
+        }
+        case MsgType::kRefuse: {
+          const auto refusal = decode_refusal(msg->body);
+          if (!refusal) return SessionEnd{false, "malformed refusal"};
+          if (refusal->code == RefuseCode::kBusy) {
+            // Transient: the daemon still runs a prior session for this
+            // shard (e.g. after a lease revocation the daemon outlived).
+            return SessionEnd{false, "daemon busy, will retry"};
+          }
+          // kSkew / kBadRequest: hard configuration error, typed, raised
+          // before any injection ran anywhere.
+          throw FabricError(
+              "daemon " + host_ + " refused (" +
+              (refusal->code == RefuseCode::kSkew ? "version/plan skew"
+                                                  : "bad request") +
+              "): " + refusal->reason);
+        }
+        case MsgType::kStatus:
+          frames_.feed(msg->body.data(), msg->body.size());
+          while (auto frame = frames_.next()) on_frame(*frame);
+          if (frames_.corrupted()) {
+            return SessionEnd{false, "corrupt status frame"};
+          }
+          break;
+        case MsgType::kJournal:
+          write_journal_bytes(journal_, msg->body);
+          return SessionEnd{true, ""};
+        case MsgType::kSubmit:
+          return SessionEnd{false, "protocol violation (submit from daemon)"};
+      }
+    }
+    if (msgs_.corrupted()) return SessionEnd{false, "corrupt message stream"};
+    return std::nullopt;
+  }
+
+ private:
+  int fd_;
+  std::string journal_;
+  std::string host_;
+  bool verbose_;
+  MsgReader msgs_;
+  FrameReader frames_;
+};
+
+/// Connect to the dispatch's daemon and submit the shard's whole slice
+/// (the daemon resumes its own journal); nullptr is a death.
+std::unique_ptr<Session> open_tcp(const RemoteOptions& options,
+                                  const Dispatch& d, std::string* why) {
+  const HostSpec& host = options.hosts[d.slot];
+  const int fd =
+      tcp_connect(host.host, host.port, options.connect_timeout_seconds, why);
+  if (fd < 0) return nullptr;
+  auto session =
+      std::make_unique<TcpSession>(fd, d, host.label(), options.verbose);
+  SubmitRequest req;
+  req.expect_plan_fp = d.plan_fp;
+  req.shard = d.shard;
+  req.shards = d.shards;
+  req.fresh = d.fresh;
+  req.jobs = options.jobs_per_host;
+  req.retries = options.retries;
+  req.heartbeat_seconds = options.heartbeat_seconds;
+  req.stall_seconds = options.stall_seconds;
+  req.flush = static_cast<u8>(options.flush);
+  req.indices = format_index_ranges(d.slice);
+  req.spec = serialize_campaign_spec(d.plan.spec);
+  if (options.verbose) {
+    std::fprintf(stderr, "fabric: host %s <- shard %u (%zu indices%s%s)\n",
+                 host.label().c_str(), d.shard, d.slice.size(),
+                 req.fresh ? ", fresh" : ", resume",
+                 d.launches > 0 ? ", re-dispatch" : "");
+  }
+  if (!send_message(fd, NetMessage{MsgType::kSubmit, encode_submit(req)})) {
+    *why = "submit write failed";
+    return nullptr;
+  }
+  return session;
+}
+
 }  // namespace
 
-RemoteCoordinator::RemoteCoordinator(RemoteOptions options)
-    : opt_(std::move(options)) {
-  if (opt_.hosts.empty()) {
-    throw FabricError("remote fabric needs at least one --hosts endpoint");
-  }
-  if (opt_.min_workers == 0) opt_.min_workers = 1;
-  opt_.min_workers =
-      std::min<u32>(opt_.min_workers, static_cast<u32>(opt_.hosts.size()));
-  if (opt_.journal_prefix.empty()) {
-    throw FabricError("remote fabric needs a journal prefix (--journal)");
-  }
-}
-
-std::vector<std::string> RemoteCoordinator::journal_paths(u32 total) const {
-  const u32 shards = static_cast<u32>(opt_.hosts.size());
-  const auto slices = shard_indices(total, shards);
-  std::vector<std::string> paths;
-  for (u32 s = 0; s < slices.size(); ++s) {
-    if (slices[s].empty()) continue;
-    paths.push_back(shard_journal_path(opt_.journal_prefix, s, shards));
-  }
-  return paths;
-}
-
-inject::CampaignResult RemoteCoordinator::run(const inject::CampaignPlan& plan,
-                                              SpliceStats* stats) {
-  const Clock::time_point run_start = Clock::now();
-  const u32 total = static_cast<u32>(plan.targets.size());
-  const u64 plan_fp = inject::plan_fingerprint(plan);
-  const std::vector<u8> spec_blob = serialize_campaign_spec(plan.spec);
-  const u32 shards = static_cast<u32>(opt_.hosts.size());
-  const auto slices = shard_indices(total, shards);
-
-  std::vector<Unit> units;
-  for (u32 s = 0; s < shards; ++s) {
-    Unit u;
-    u.shard = s;
-    u.slice = slices[s];
-    u.journal = shard_journal_path(opt_.journal_prefix, s, shards);
-    if (u.slice.empty()) {
-      u.state = Unit::State::kDone;
-    } else if (!opt_.fresh &&
-               remaining_indices(u.journal, u.slice, plan_fp).empty()) {
-      // Resume: this shard's journal was already retrieved complete.
-      u.state = Unit::State::kDone;
-    }
-    units.push_back(std::move(u));
-  }
-
-  std::vector<Host> hosts(opt_.hosts.size());
-  for (u32 h = 0; h < hosts.size(); ++h) {
-    hosts[h].id = h;
-    hosts[h].spec = opt_.hosts[h];
-    hosts[h].stats.host = opt_.hosts[h].label();
-    hosts[h].backoff_rng =
-        Rng(plan_fp ^ 0xFABC0FFull ^ (0x9E3779B97F4A7C15ull * (h + 1)));
-  }
-
-  u64 deaths = 0, redispatches = 0, backoff_waits = 0;
-  double backoff_seconds = 0.0;
-
-  auto live_hosts = [&hosts]() {
-    u32 n = 0;
-    for (const Host& h : hosts) n += h.retired ? 0 : 1;
-    return n;
-  };
-
-  auto close_all = [&hosts]() {
-    for (Host& h : hosts) {
-      if (h.fd >= 0) {
-        ::close(h.fd);
-        h.fd = -1;
-      }
-    }
-  };
-
-  auto emit_progress = [&]() {
-    if (!opt_.progress) return;
-    std::vector<RemoteHostProgress> snap;
-    snap.reserve(hosts.size());
-    for (const Host& h : hosts) {
-      RemoteHostProgress p;
-      p.host = h.spec.label();
-      p.connected = h.fd >= 0;
-      p.retired = h.retired;
-      if (h.unit >= 0) {
-        const Unit& u = units[static_cast<size_t>(h.unit)];
-        p.shard = u.shard;
-        p.completed = h.seen_completed;
-        p.total = static_cast<u32>(u.slice.size());
-        p.outcomes = h.seen_outcomes;
-        p.done = false;
-      }
-      snap.push_back(std::move(p));
-    }
-    // Mark done shards on whichever host last ran them is gone; report
-    // them via the totals of done units instead.
-    opt_.progress(snap);
-  };
-
-  /// End a session (socket closed) and decide the unit's fate.  `failed`
-  /// means the shard did not complete: recover via backoff + re-dispatch.
-  auto end_session = [&](Host& host, bool failed, const char* why) {
-    if (host.fd >= 0) {
-      ::close(host.fd);
-      host.fd = -1;
-    }
-    if (host.unit < 0) return;
-    Unit& unit = units[static_cast<size_t>(host.unit)];
-    host.unit = -1;
-    host.msgs = MsgReader();
-    host.frames = FrameReader();
-    host.accepted = false;
-    host.seen_completed = 0;
-    host.seen_outcomes = {};
-    if (!failed) {
-      unit.state = Unit::State::kDone;
-      host.stats.records += unit.slice.size();
-      if (opt_.verbose) {
-        std::fprintf(stderr, "fabric: shard %u done (host %s)\n", unit.shard,
-                     host.spec.label().c_str());
-      }
-      return;
-    }
-    ++deaths;
-    ++host.restarts;
-    ++host.stats.deaths;
-    if (opt_.verbose) {
-      std::fprintf(stderr, "fabric: host %s lost shard %u (%s)%s%s\n",
-                   host.spec.label().c_str(), unit.shard, why,
-                   host.got_error ? ": " : "",
-                   host.got_error ? host.error_message.c_str() : "");
-    }
-    host.got_error = false;
-    host.error_message.clear();
-    unit.state = Unit::State::kPending;
-    double wait = 0.0;
-    if (opt_.backoff_base > 0.0) {
-      const double exp =
-          opt_.backoff_base *
-          static_cast<double>(1ull << std::min<u32>(host.restarts - 1, 30));
-      wait = std::min(opt_.backoff_cap, exp) *
-             (0.5 + host.backoff_rng.next_double());
-      ++backoff_waits;
-      backoff_seconds += wait;
-      ++host.stats.backoff_waits;
-      host.stats.backoff_seconds += wait;
-    }
-    unit.eligible_at = Clock::now() + from_seconds(wait);
-    if (host.restarts > opt_.max_restarts_per_host) {
-      host.retired = true;
-      if (opt_.verbose) {
-        std::fprintf(stderr, "fabric: host %s retired after %u deaths\n",
-                     host.spec.label().c_str(), host.restarts);
-      }
-      if (live_hosts() < opt_.min_workers) {
-        throw FabricError(
-            "remote fabric degraded below --min-workers (" +
-            std::to_string(live_hosts()) + " live < " +
-            std::to_string(opt_.min_workers) +
-            "); shard journals are intact — rerun to resume");
-      }
-    }
-  };
-
-  auto dispatch = [&](Host& host, Unit& unit) {
-    std::string err;
-    const int fd = tcp_connect(host.spec.host, host.spec.port,
-                               opt_.connect_timeout_seconds, &err);
-    ++host.stats.dispatches;
-    if (unit.dispatches > 0) ++redispatches;
-    ++unit.dispatches;
-    if (fd < 0) {
-      host.fd = -1;
-      host.unit = static_cast<int>(&unit - units.data());
-      unit.state = Unit::State::kRunning;
-      end_session(host, true, err.c_str());
-      return;
-    }
-    SubmitRequest req;
-    req.expect_plan_fp = plan_fp;
-    req.shard = unit.shard;
-    req.shards = shards;
-    req.fresh = opt_.fresh && !unit.ever_accepted;
-    req.jobs = opt_.jobs_per_host;
-    req.retries = opt_.retries;
-    req.heartbeat_seconds = opt_.heartbeat_seconds;
-    req.stall_seconds = opt_.stall_seconds;
-    req.flush = static_cast<u8>(opt_.flush);
-    req.indices = format_index_ranges(unit.slice);
-    req.spec = spec_blob;
-    host.fd = fd;
-    host.unit = static_cast<int>(&unit - units.data());
-    host.msgs = MsgReader();
-    host.frames = FrameReader();
-    host.accepted = false;
-    host.last_heard = Clock::now();
-    unit.state = Unit::State::kRunning;
-    if (opt_.verbose) {
-      std::fprintf(stderr,
-                   "fabric: host %s <- shard %u (%zu indices%s%s)\n",
-                   host.spec.label().c_str(), unit.shard, unit.slice.size(),
-                   req.fresh ? ", fresh" : ", resume",
-                   unit.dispatches > 1 ? ", re-dispatch" : "");
-    }
-    if (!send_message(fd, NetMessage{MsgType::kSubmit, encode_submit(req)})) {
-      end_session(host, true, "submit write failed");
-    }
-  };
-
-  auto handle_frame = [&](Host& host, const StatusFrame& frame) {
-    host.last_heard = Clock::now();
-    switch (frame.type) {
-      case FrameType::kHello:
-        if (frame.plan_fingerprint != plan_fp) {
-          throw FabricError(
-              "daemon rebuilt a different plan (fingerprint mismatch): "
-              "client and daemon binaries disagree");
-        }
-        break;
-      case FrameType::kProgress:
-      case FrameType::kHeartbeat:
-        if (frame.type == FrameType::kProgress ||
-            frame.done > host.seen_completed) {
-          host.seen_completed = frame.done;
-          host.seen_outcomes = frame.outcomes;
-          emit_progress();
-        }
-        break;
-      case FrameType::kDone:
-        if (host.unit >= 0) {
-          Unit& unit = units[static_cast<size_t>(host.unit)];
-          unit.done_frame = frame;
-          unit.have_done_frame = true;
-          host.seen_completed = static_cast<u32>(unit.slice.size());
-          host.seen_outcomes = frame.outcomes;
-          emit_progress();
-        }
-        break;
-      case FrameType::kError:
-        host.got_error = true;
-        host.error_message = frame.message;
-        break;
-    }
-  };
-
-  /// Returns true when the session ended (socket closed) inside.
-  auto handle_message = [&](Host& host, NetMessage&& msg) -> bool {
-    host.last_heard = Clock::now();
-    switch (msg.type) {
-      case MsgType::kAccept: {
-        const auto info = decode_accept(msg.body);
-        if (!info) {
-          end_session(host, true, "malformed accept");
-          return true;
-        }
-        if (info->plan_fingerprint != plan_fp) {
-          throw FabricError(
-              "daemon accepted with a different plan fingerprint: "
-              "client and daemon binaries disagree");
-        }
-        host.accepted = true;
-        if (host.unit >= 0) {
-          units[static_cast<size_t>(host.unit)].ever_accepted = true;
-        }
-        if (opt_.verbose && info->resumed > 0) {
-          std::fprintf(stderr,
-                       "fabric: host %s resumed %u journaled indices\n",
-                       host.spec.label().c_str(), info->resumed);
-        }
-        return false;
-      }
-      case MsgType::kRefuse: {
-        const auto refusal = decode_refusal(msg.body);
-        if (!refusal) {
-          end_session(host, true, "malformed refusal");
-          return true;
-        }
-        if (refusal->code == RefuseCode::kBusy) {
-          // Transient: the daemon still runs a prior session for this
-          // shard (e.g. after a lease revocation the daemon outlived).
-          end_session(host, true, "daemon busy, will retry");
-          return true;
-        }
-        // kSkew / kBadRequest: hard configuration error, typed, raised
-        // before any injection ran anywhere.
-        throw FabricError(
-            std::string("daemon ") + host.spec.label() + " refused (" +
-            (refusal->code == RefuseCode::kSkew ? "version/plan skew"
-                                                : "bad request") +
-            "): " + refusal->reason);
-      }
-      case MsgType::kStatus: {
-        host.frames.feed(msg.body.data(), msg.body.size());
-        while (auto frame = host.frames.next()) handle_frame(host, *frame);
-        if (host.frames.corrupted()) {
-          end_session(host, true, "corrupt status frame");
-          return true;
-        }
-        return false;
-      }
-      case MsgType::kJournal: {
-        if (host.unit < 0) return false;
-        Unit& unit = units[static_cast<size_t>(host.unit)];
-        write_journal_bytes(unit.journal, msg.body);
-        end_session(host, false, "done");
-        emit_progress();
-        return true;
-      }
-      case MsgType::kSubmit:
-        end_session(host, true, "protocol violation (submit from daemon)");
-        return true;
-    }
-    return false;
-  };
-
-  try {
-    while (true) {
-      const Clock::time_point now = Clock::now();
-
-      // Dispatch eligible pending units to idle live hosts.
-      for (Unit& unit : units) {
-        if (unit.state != Unit::State::kPending || unit.eligible_at > now) {
-          continue;
-        }
-        Host* idle = nullptr;
-        for (Host& h : hosts) {
-          if (!h.retired && h.unit < 0) {
-            idle = &h;
-            break;
-          }
-        }
-        if (idle == nullptr) break;
-        dispatch(*idle, unit);
-      }
-
-      u32 pending = 0, running = 0;
-      Clock::time_point next_eligible = Clock::time_point::max();
-      for (const Unit& u : units) {
-        if (u.state == Unit::State::kPending) {
-          ++pending;
-          next_eligible = std::min(next_eligible, u.eligible_at);
-        } else if (u.state == Unit::State::kRunning) {
-          ++running;
-        }
-      }
-      if (pending == 0 && running == 0) break;  // every unit done
-
-      if (running == 0) {
-        if (live_hosts() == 0 || live_hosts() < opt_.min_workers) {
-          throw FabricError(
-              "remote fabric degraded below --min-workers with work "
-              "pending; shard journals are intact — rerun to resume");
-        }
-        std::this_thread::sleep_until(
-            std::min(next_eligible, now + std::chrono::milliseconds(100)));
-        continue;
-      }
-
-      // Wait for daemon traffic, a lease expiry, or a backoff expiry.
-      std::vector<pollfd> fds;
-      std::vector<Host*> fd_hosts;
-      Clock::time_point deadline = now + std::chrono::milliseconds(500);
-      if (pending > 0) deadline = std::min(deadline, next_eligible);
-      for (Host& h : hosts) {
-        if (h.fd < 0) continue;
-        fds.push_back(pollfd{h.fd, POLLIN, 0});
-        fd_hosts.push_back(&h);
-        deadline = std::min(deadline,
-                            h.last_heard + from_seconds(opt_.lease_seconds));
-      }
-      int timeout_ms = static_cast<int>(
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - Clock::now())
-              .count());
-      timeout_ms = std::max(timeout_ms, 10);
-      const int nready =
-          ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
-      if (nready < 0 && errno != EINTR) {
-        throw FabricError(std::string("poll failed: ") + std::strerror(errno));
-      }
-
-      for (size_t i = 0; i < fds.size(); ++i) {
-        Host& host = *fd_hosts[i];
-        if (host.fd < 0) continue;  // session ended earlier this pass
-        if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        u8 buf[65536];
-        const ssize_t n = ::read(host.fd, buf, sizeof(buf));
-        if (n > 0) {
-          host.msgs.feed(buf, static_cast<size_t>(n));
-          bool ended = false;
-          while (!ended) {
-            auto msg = host.msgs.next();
-            if (!msg) break;
-            ended = handle_message(host, std::move(*msg));
-          }
-          if (!ended && host.msgs.corrupted()) {
-            end_session(host, true, "corrupt message stream");
-          }
-        } else if (n == 0 || (n < 0 && errno != EINTR)) {
-          end_session(host, true,
-                      n == 0 ? "connection closed" : "read failed");
-        }
-      }
-
-      // Lease check: silent sessions are presumed dead.
-      const Clock::time_point after = Clock::now();
-      for (Host& h : hosts) {
-        if (h.fd < 0) continue;
-        if (seconds_between(h.last_heard, after) > opt_.lease_seconds) {
-          ++h.stats.lease_revocations;
-          if (opt_.verbose) {
-            std::fprintf(stderr,
-                         "fabric: host %s missed its lease (%.1fs), "
-                         "revoking session\n",
-                         h.spec.label().c_str(), opt_.lease_seconds);
-          }
-          end_session(h, true, "lease expired");
-        }
-      }
-    }
-  } catch (...) {
-    close_all();
-    throw;
-  }
-  close_all();
-
-  inject::CampaignResult result =
-      splice_journals(plan, journal_paths(total), stats);
-  result.fabric_workers = static_cast<u32>(hosts.size());
-  result.fabric_worker_deaths = deaths;
-  result.fabric_redispatches = redispatches;
-  result.fabric_backoff_waits = backoff_waits;
-  result.fabric_backoff_seconds = backoff_seconds;
-  for (const Host& h : hosts) result.fabric_hosts.push_back(h.stats);
-  for (const Unit& u : units) {
-    if (!u.have_done_frame) continue;
-    result.stalls += u.done_frame.stalls;
-    result.harness_retries += u.done_frame.harness_retries;
-    result.retry_backoff_waits += u.done_frame.backoff_waits;
-    result.retry_backoff_seconds += u.done_frame.backoff_seconds;
-    result.journal_flushes += u.done_frame.executed;
-  }
-  result.throughput.jobs =
-      static_cast<u32>(hosts.size()) * opt_.jobs_per_host;
-  result.throughput.plan_seconds = plan.plan_seconds;
-  result.throughput.run_seconds = seconds_between(run_start, Clock::now());
-  result.throughput.wall_seconds =
-      result.throughput.plan_seconds + result.throughput.run_seconds;
-  return result;
-}
+RemoteCoordinator::RemoteCoordinator(RemoteOptions options, SessionOpener open)
+    : Coordinator(
+          [&options]() {
+            if (options.hosts.empty()) {
+              throw FabricError(
+                  "remote fabric needs at least one --hosts endpoint");
+            }
+            Config c(options);
+            c.noun = "host";
+            for (const HostSpec& h : options.hosts) {
+              c.names.push_back(h.label());
+            }
+            c.max_restarts = options.max_restarts_per_host;
+            c.jobs_per_slot = options.jobs_per_host;
+            c.local_journals = false;
+            c.fresh = options.fresh;
+            c.progress = options.progress;
+            return c;
+          }(),
+          open ? std::move(open)
+               : SessionOpener([options](const Dispatch& d, std::string* why) {
+                   return open_tcp(options, d, why);
+                 })) {}
 
 }  // namespace kfi::fabric

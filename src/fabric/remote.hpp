@@ -1,130 +1,59 @@
-// RemoteCoordinator: multi-host campaign execution over the fabric
-// socket transport.
+// RemoteCoordinator: the coordinator (coordinator.hpp) over kfi_campaignd
+// daemons, one shard per --hosts endpoint, each over its own TCP session
+// (net.hpp's KFNM protocol).
 //
-// The coordinator cuts a frozen CampaignPlan's index space into one
-// shard per --hosts endpoint and submits each shard to a kfi_campaignd
-// daemon over TCP (net.hpp's KFNM session protocol).  The handshake
-// carries the expected plan fingerprint: a daemon whose rebuilt plan
-// disagrees — or that speaks a different protocol version — refuses with
-// a typed error before any injection runs anywhere.
+// The submit carries the expected plan fingerprint: a daemon whose
+// rebuilt plan disagrees, or that speaks a different protocol version,
+// refuses with a typed error (kSkew / kBadRequest -> FabricError) before
+// any injection runs anywhere; kBusy is a transient death.  Daemons are
+// crash domains like worker subprocesses: every completed injection is
+// journaled on the daemon's LOCAL disk, and KFFR heartbeat/progress
+// frames riding in kStatus messages renew the session lease.
 //
-// Daemons are crash domains, exactly like PR 9's worker subprocesses:
-// every completed injection is flushed to the daemon's LOCAL shard
-// journal, so a daemon that is kill -9ed (or whose network drops) loses
-// wall-clock time only.  The coordinator holds a wall-clock lease per
-// session, renewed by KFFR heartbeat/progress frames riding inside
-// kStatus messages; a missed lease revokes the session, the host enters
-// a deterministic-seeded exponential backoff, and the shard is
-// re-dispatched.  Re-dispatches submit with fresh=false, so the daemon
-// resumes its recovered journal and a dead host's completed indices are
-// never re-executed on that host.  (A re-dispatch landing on a DIFFERENT
-// host re-runs the slice from scratch there — benign, because records
-// are pure functions of (plan, index) and the splice dedups identical
-// entries.)
-//
-// Hosts that keep dying are retired; the fabric degrades gracefully
-// until fewer than min_workers live hosts remain, then aborts with
-// FabricError.  Shard journals — the daemons' and whichever the client
-// already retrieved — always survive for a later resume.
-//
-// When a shard completes, the daemon streams its journal back
-// byte-for-byte (kJournal); the client writes it next to the local
-// journal prefix and finally splices every shard through the same
-// splice_journals the single-host fabric uses.  The result fingerprint
-// is bit-identical to the serial run of the same plan — the loopback
-// parity tests pin it.
+// Resume is the daemon's job: the first accepted dispatch of a shard
+// sends `fresh`, every later one fresh=false, so a restarted daemon
+// resumes its journal and re-executes nothing.  (A re-dispatch landing
+// on a DIFFERENT host re-runs the slice from scratch there — benign,
+// because records are pure functions of (plan, index) and the splice
+// dedups identical entries.)  A completed shard's journal streams back
+// byte-for-byte (kJournal) and lands atomically at the local shard
+// journal path, where the splice picks it up.
 #pragma once
 
-#include <array>
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "fabric/coordinator.hpp"  // FabricError, remaining_indices
+#include "fabric/coordinator.hpp"
 #include "fabric/net.hpp"
-#include "fabric/splice.hpp"
-#include "fabric/wire.hpp"
-#include "inject/engine.hpp"
-#include "inject/journal.hpp"
-#include "inject/plan.hpp"
 
 namespace kfi::fabric {
 
-/// Live per-host view handed to the progress callback: what each remote
-/// is doing right now, including the outcome tally its latest progress
-/// frame carried.  Purely observational.
-struct RemoteHostProgress {
-  std::string host;   // "host:port" label
-  bool connected = false;
-  bool done = false;       // shard journal retrieved
-  bool retired = false;    // host gave up (too many deaths)
-  u32 shard = 0;
-  u32 completed = 0;  // slice indices finished (incl. daemon-side resumed)
-  u32 total = 0;      // slice size
-  std::array<u32, kFrameOutcomeSlots> outcomes{};
-};
-
-struct RemoteOptions {
+struct RemoteOptions : CoordinatorOptions {
   /// Daemon endpoints; also the shard count.  Required (>= 1).
   std::vector<HostSpec> hosts;
-  /// Abort (FabricError) when fewer live hosts than this remain.
-  u32 min_workers = 1;
-  /// Retrieved shard journals land at "<prefix>.shard<k>of<n>.kfij".
-  /// Required.
-  std::string journal_prefix;
   /// Fresh run: first submission per shard tells the daemon to drop any
   /// journal it holds for this (plan, shard).  false = resume (daemon-
   /// and client-side journals are kept and deduped against).
   bool fresh = true;
   /// Engine threads inside each daemon run (forwarded in the submit).
   u32 jobs_per_host = 1;
-  /// Heartbeat lease: a session silent this long is revoked and its
-  /// shard re-dispatched.
-  double lease_seconds = 30.0;
-  /// Heartbeat period requested of the daemon.
-  double heartbeat_seconds = 1.0;
   /// TCP connect timeout per dispatch attempt.
   double connect_timeout_seconds = 5.0;
-  /// Exponential backoff before a host's next dispatch after a death:
-  /// restart r waits min(cap, base * 2^(r-1)) seconds scaled by a
-  /// deterministic jitter in [0.5, 1.5) from an Rng seeded by
-  /// (plan fingerprint, host index) — reruns back off identically.
-  /// base = 0 retries immediately.
-  double backoff_base = 0.05;
-  double backoff_cap = 2.0;
   /// Deaths (connection losses, refusals, lease revocations) one host
   /// absorbs before it is retired.
   u32 max_restarts_per_host = 3;
-  /// Journal durability requested of the daemon.
-  inject::FlushPolicy flush = inject::FlushPolicy::kFsync;
-  /// Supervisor knobs forwarded to the daemon's engine.
-  u32 retries = 1;
-  double stall_seconds = 0.0;
-  /// Narrate session lifecycle (dispatch/death/re-dispatch) to stderr.
-  bool verbose = false;
   /// Live tally sink: called (from the coordinator thread) whenever any
   /// host reports progress, with a snapshot of every host.  May be empty.
   std::function<void(const std::vector<RemoteHostProgress>&)> progress;
 };
 
-class RemoteCoordinator {
+/// The coordinator over kfi_campaignd daemons.  Per-host ledgers land in
+/// CampaignResult::fabric_hosts.  `open` replaces the TCP transport
+/// (tests drive the state machine with fakes).
+class RemoteCoordinator : public Coordinator {
  public:
-  explicit RemoteCoordinator(RemoteOptions options);
-
-  /// Run the plan across the daemons and splice the retrieved shard
-  /// journals into one result.  Throws FabricError on version/plan skew
-  /// (typed, before any injection), on degradation below min_workers,
-  /// and on local I/O failures; shard journals — remote and local —
-  /// survive for a later resume.
-  inject::CampaignResult run(const inject::CampaignPlan& plan,
-                             SpliceStats* stats = nullptr);
-
-  /// The client-side shard journal paths run() retrieves into
-  /// (total = plan targets).
-  std::vector<std::string> journal_paths(u32 total) const;
-
- private:
-  RemoteOptions opt_;
+  explicit RemoteCoordinator(RemoteOptions options, SessionOpener open = {});
 };
 
 }  // namespace kfi::fabric

@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "errnoinj/errno_model.hpp"
+#include "fabric/codec.hpp"
 #include "inject/fault_model.hpp"
 #include "inject/plan.hpp"
 
@@ -15,26 +16,9 @@ namespace {
 constexpr u32 kJournalMagic = 0x4B46494A;  // "KFIJ" (journal.cpp's framing)
 constexpr u32 kEntryMagic = 0x4B464945;    // "KFIE"
 
-u64 fnv1a(const u8* data, size_t size) {
-  u64 h = 0xcbf29ce484222325ull;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-void put32(std::vector<u8>& out, u32 v) {
-  out.push_back(static_cast<u8>(v >> 24));
-  out.push_back(static_cast<u8>(v >> 16));
-  out.push_back(static_cast<u8>(v >> 8));
-  out.push_back(static_cast<u8>(v));
-}
-
-void put64(std::vector<u8>& out, u64 v) {
-  put32(out, static_cast<u32>(v >> 32));
-  put32(out, static_cast<u32>(v));
-}
+using codec::fnv1a;
+using codec::put32;
+using codec::put64;
 
 /// FNV over every field of an entry that enters the result fingerprint
 /// or the campaign merge.  Two entries for the same index must agree on
@@ -42,13 +26,8 @@ void put64(std::vector<u8>& out, u64 v) {
 /// (plan, index)); observational blocks (propagation) are deliberately
 /// excluded so a traced and an untraced worker's records still splice.
 u64 entry_core_digest(const inject::JournalEntry& e) {
-  u64 h = 0xcbf29ce484222325ull;
-  auto mix = [&h](u64 v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xFF;
-      h *= 0x100000001b3ull;
-    }
-  };
+  std::vector<u8> bytes;
+  auto mix = [&bytes](u64 v) { put64(bytes, v); };
   const inject::InjectionRecord& r = e.record;
   mix(e.index);
   mix(static_cast<u64>(r.outcome));
@@ -72,7 +51,7 @@ u64 entry_core_digest(const inject::JournalEntry& e) {
   mix(e.datagrams_sent);
   mix(e.datagrams_dropped);
   mix(e.simulated_cycles);
-  return h;
+  return fnv1a(bytes.data(), bytes.size());
 }
 
 bool is_quarantined(const inject::JournalEntry& e) {

@@ -9,15 +9,64 @@ namespace kfi::fabric {
 namespace {
 
 constexpr u8 kSpecVersion = 1;
-constexpr u32 kFrameMagic = 0x4B464652;  // "KFFR"
 
-using codec::Cursor;
-using codec::fnv1a;
-using codec::put8;
-using codec::put32;
-using codec::put64;
-using codec::put_double;
-using codec::put_string;
+
+/// Every plan-relevant CampaignSpec field, in wire order.
+template <typename IO, typename Spec>
+void spec_fields(IO& io, Spec& spec) {
+  u8 version = kSpecVersion;
+  io(version, kSpecVersion, kSpecVersion);
+  io(spec.arch, isa::Arch::kCisca, isa::Arch::kRiscf);
+  io(spec.kind, inject::CampaignKind::kStack, inject::CampaignKind::kErrno);
+  io(spec.injections);
+  io(spec.seed);
+  io(spec.workload_scale);
+  io(spec.channel_loss);
+  io(spec.budget_factor);
+  auto& m = spec.machine;
+  io(m.timer_period);
+  io(m.user_cycles_mean);
+  io(m.g4_stack_wrapper);
+  io(m.p4_stack_limit_check);
+  io(m.spinlock_debug);
+  io(m.seed);
+  io(m.decode_cache);
+  io(m.fast_reboot);
+  io(m.superblock);
+  io(m.cow_memory);
+  auto& f = spec.model;
+  io(f.shape, inject::FaultShape::kSingleBit, inject::FaultShape::kOpclass);
+  io(f.trigger, inject::FaultTrigger::kSingleShot, inject::FaultTrigger::kRate);
+  io(f.bits);
+  io(f.burst_span);
+  io(f.rate);
+  io(f.opclass, isa::OpClass::kAlu, isa::OpClass::kOther);
+  auto& e = spec.errno_model;
+  io(e.syscalls);
+  io(e.value, errnoinj::ErrnoValue::kErrReturn,
+     errnoinj::ErrnoValue::kDrawnNegative);
+  io(e.trigger, errnoinj::ErrnoTrigger::kNth, errnoinj::ErrnoTrigger::kRate);
+  io(e.nth);
+  io(e.rate);
+}
+
+template <typename IO, typename Frame>
+void frame_fields(IO& io, Frame& frame) {
+  io(frame.type, FrameType::kHello, FrameType::kError);
+  io(frame.plan_fingerprint);
+  io(frame.shard);
+  io(frame.pid);
+  io(frame.done);
+  io(frame.total);
+  for (auto& n : frame.outcomes) io(n);
+  io(frame.executed);
+  io(frame.quarantined);
+  io(frame.stalls);
+  io(frame.harness_retries);
+  io(frame.backoff_waits);
+  io(frame.backoff_seconds);
+  io(frame.message);
+}
 
 static_assert(kFrameOutcomeSlots ==
                   static_cast<size_t>(inject::OutcomeCategory::kNumOutcomes),
@@ -26,106 +75,13 @@ static_assert(kFrameOutcomeSlots ==
 }  // namespace
 
 std::vector<u8> serialize_campaign_spec(const inject::CampaignSpec& spec) {
-  std::vector<u8> out;
-  put8(out, kSpecVersion);
-  put8(out, static_cast<u8>(spec.arch));
-  put8(out, static_cast<u8>(spec.kind));
-  put32(out, spec.injections);
-  put64(out, spec.seed);
-  put32(out, spec.workload_scale);
-  put_double(out, spec.channel_loss);
-  put_double(out, spec.budget_factor);
-  const kernel::MachineOptions& m = spec.machine;
-  put64(out, m.timer_period);
-  put64(out, m.user_cycles_mean);
-  put8(out, m.g4_stack_wrapper ? 1 : 0);
-  put8(out, m.p4_stack_limit_check ? 1 : 0);
-  put8(out, m.spinlock_debug ? 1 : 0);
-  put64(out, m.seed);
-  put8(out, m.decode_cache ? 1 : 0);
-  put8(out, m.fast_reboot ? 1 : 0);
-  put8(out, m.superblock ? 1 : 0);
-  put8(out, m.cow_memory ? 1 : 0);
-  const inject::FaultModel& f = spec.model;
-  put8(out, static_cast<u8>(f.shape));
-  put8(out, static_cast<u8>(f.trigger));
-  put32(out, f.bits);
-  put32(out, f.burst_span);
-  put_double(out, f.rate);
-  put8(out, static_cast<u8>(f.opclass));
-  const errnoinj::ErrnoModel& e = spec.errno_model;
-  put32(out, e.syscalls);
-  put8(out, static_cast<u8>(e.value));
-  put8(out, static_cast<u8>(e.trigger));
-  put32(out, e.nth);
-  put_double(out, e.rate);
-  return out;
+  return codec::encode(spec_fields<codec::Writer, const inject::CampaignSpec>,
+                       spec);
 }
 
 std::optional<inject::CampaignSpec> deserialize_campaign_spec(
     const std::vector<u8>& in) {
-  Cursor c{in, 0};
-  if (c.get8() != kSpecVersion) return std::nullopt;
-  inject::CampaignSpec spec;
-  const u8 arch = c.get8();
-  if (arch > static_cast<u8>(isa::Arch::kRiscf)) return std::nullopt;
-  spec.arch = static_cast<isa::Arch>(arch);
-  const u8 kind = c.get8();
-  if (kind > static_cast<u8>(inject::CampaignKind::kErrno)) {
-    return std::nullopt;
-  }
-  spec.kind = static_cast<inject::CampaignKind>(kind);
-  spec.injections = c.get32();
-  spec.seed = c.get64();
-  spec.workload_scale = c.get32();
-  spec.channel_loss = c.get_double();
-  spec.budget_factor = c.get_double();
-  kernel::MachineOptions& m = spec.machine;
-  m.timer_period = c.get64();
-  m.user_cycles_mean = c.get64();
-  m.g4_stack_wrapper = c.get8() != 0;
-  m.p4_stack_limit_check = c.get8() != 0;
-  m.spinlock_debug = c.get8() != 0;
-  m.seed = c.get64();
-  m.decode_cache = c.get8() != 0;
-  m.fast_reboot = c.get8() != 0;
-  m.superblock = c.get8() != 0;
-  m.cow_memory = c.get8() != 0;
-  inject::FaultModel& f = spec.model;
-  const u8 shape = c.get8();
-  if (shape > static_cast<u8>(inject::FaultShape::kOpclass)) {
-    return std::nullopt;
-  }
-  f.shape = static_cast<inject::FaultShape>(shape);
-  const u8 trigger = c.get8();
-  if (trigger > static_cast<u8>(inject::FaultTrigger::kRate)) {
-    return std::nullopt;
-  }
-  f.trigger = static_cast<inject::FaultTrigger>(trigger);
-  f.bits = c.get32();
-  f.burst_span = c.get32();
-  f.rate = c.get_double();
-  const u8 opclass = c.get8();
-  if (opclass >= static_cast<u8>(isa::OpClass::kNumClasses)) {
-    return std::nullopt;
-  }
-  f.opclass = static_cast<isa::OpClass>(opclass);
-  errnoinj::ErrnoModel& e = spec.errno_model;
-  e.syscalls = c.get32();
-  const u8 value = c.get8();
-  if (value > static_cast<u8>(errnoinj::ErrnoValue::kDrawnNegative)) {
-    return std::nullopt;
-  }
-  e.value = static_cast<errnoinj::ErrnoValue>(value);
-  const u8 etrigger = c.get8();
-  if (etrigger > static_cast<u8>(errnoinj::ErrnoTrigger::kRate)) {
-    return std::nullopt;
-  }
-  e.trigger = static_cast<errnoinj::ErrnoTrigger>(etrigger);
-  e.nth = c.get32();
-  e.rate = c.get_double();
-  if (!c.ok || c.pos != in.size()) return std::nullopt;
-  return spec;
+  return codec::decode(spec_fields<codec::Reader, inject::CampaignSpec>, in);
 }
 
 std::string to_hex(const std::vector<u8>& bytes) {
@@ -137,6 +93,12 @@ std::string to_hex(const std::vector<u8>& bytes) {
     out.push_back(digits[b & 0xF]);
   }
   return out;
+}
+
+std::string fingerprint_hex(u64 fingerprint) {
+  std::vector<u8> bytes;
+  codec::put64(bytes, fingerprint);
+  return to_hex(bytes);
 }
 
 std::optional<std::vector<u8>> from_hex(const std::string& hex) {
@@ -159,93 +121,22 @@ std::optional<std::vector<u8>> from_hex(const std::string& hex) {
 }
 
 std::vector<u8> encode_frame(const StatusFrame& frame) {
-  std::vector<u8> payload;
-  put8(payload, static_cast<u8>(frame.type));
-  put64(payload, frame.plan_fingerprint);
-  put32(payload, frame.shard);
-  put32(payload, frame.pid);
-  put32(payload, frame.done);
-  put32(payload, frame.total);
-  for (const u32 n : frame.outcomes) put32(payload, n);
-  put64(payload, frame.executed);
-  put64(payload, frame.quarantined);
-  put64(payload, frame.stalls);
-  put64(payload, frame.harness_retries);
-  put64(payload, frame.backoff_waits);
-  put_double(payload, frame.backoff_seconds);
-  put_string(payload, frame.message);
-
-  std::vector<u8> out;
-  out.reserve(payload.size() + 16);
-  put32(out, kFrameMagic);
-  put32(out, static_cast<u32>(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  put64(out, fnv1a(payload.data(), payload.size()));
-  return out;
+  return codec::seal(
+      kFrameMagic,
+      codec::encode(frame_fields<codec::Writer, const StatusFrame>, frame));
 }
 
 void FrameReader::feed(const u8* data, size_t size) {
-  // Compact the consumed prefix before growing, so a long-lived stream
-  // doesn't accumulate every frame it ever saw.
-  if (pos_ > 0 && pos_ == buf_.size()) {
-    buf_.clear();
-    pos_ = 0;
-  } else if (pos_ > 4096) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<long>(pos_));
-    pos_ = 0;
-  }
-  buf_.insert(buf_.end(), data, data + size);
+  frames_.feed(data, size);
 }
 
 std::optional<StatusFrame> FrameReader::next() {
-  if (corrupted_) return std::nullopt;
-  Cursor c{buf_, pos_};
-  if (!c.have(8)) return std::nullopt;  // need magic + length
-  if (c.get32() != kFrameMagic) {
-    corrupted_ = true;
-    return std::nullopt;
-  }
-  const u32 len = c.get32();
-  if (len > (1u << 20)) {  // no legitimate frame is a megabyte
-    corrupted_ = true;
-    return std::nullopt;
-  }
-  if (!c.have(len + 8)) return std::nullopt;  // partial frame: wait
-  const size_t payload_at = c.pos;
-  c.pos += len;
-  const u64 checksum = c.get64();
-  if (checksum != fnv1a(buf_.data() + payload_at, len)) {
-    corrupted_ = true;
-    return std::nullopt;
-  }
-
-  Cursor p{buf_, payload_at};
-  StatusFrame frame;
-  const u8 type = p.get8();
-  if (type < static_cast<u8>(FrameType::kHello) ||
-      type > static_cast<u8>(FrameType::kError)) {
-    corrupted_ = true;
-    return std::nullopt;
-  }
-  frame.type = static_cast<FrameType>(type);
-  frame.plan_fingerprint = p.get64();
-  frame.shard = p.get32();
-  frame.pid = p.get32();
-  frame.done = p.get32();
-  frame.total = p.get32();
-  for (u32& n : frame.outcomes) n = p.get32();
-  frame.executed = p.get64();
-  frame.quarantined = p.get64();
-  frame.stalls = p.get64();
-  frame.harness_retries = p.get64();
-  frame.backoff_waits = p.get64();
-  frame.backoff_seconds = p.get_double();
-  frame.message = p.get_string();
-  if (!p.ok || p.pos != payload_at + len) {
-    corrupted_ = true;
-    return std::nullopt;
-  }
-  pos_ = c.pos;
+  // No legitimate frame is a megabyte.
+  const auto payload = frames_.next([](u8) { return 1u << 20; });
+  if (!payload) return std::nullopt;
+  auto frame =
+      codec::decode(frame_fields<codec::Reader, StatusFrame>, *payload);
+  if (!frame) frames_.corrupt();
   return frame;
 }
 

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "fabric/codec.hpp"
 #include "inject/plan.hpp"
 
 namespace kfi::fabric {
@@ -43,6 +44,9 @@ std::optional<inject::CampaignSpec> deserialize_campaign_spec(
 /// Lower-case hex codec for passing blobs through argv.
 std::string to_hex(const std::vector<u8>& bytes);
 std::optional<std::vector<u8>> from_hex(const std::string& hex);
+/// A 64-bit fingerprint as 16 lower-case hex digits (journal names,
+/// --expect-plan-fp, skew messages).
+std::string fingerprint_hex(u64 fingerprint);
 
 enum class FrameType : u8 {
   kHello = 1,      // plan built: fingerprint + shard + pid
@@ -85,6 +89,8 @@ struct StatusFrame {
   std::string message;
 };
 
+constexpr u32 kFrameMagic = 0x4B464652;  // "KFFR"
+
 std::vector<u8> encode_frame(const StatusFrame& frame);
 
 /// Incremental frame decoder over a byte stream.  feed() appends raw pipe
@@ -95,12 +101,10 @@ class FrameReader {
  public:
   void feed(const u8* data, size_t size);
   std::optional<StatusFrame> next();
-  bool corrupted() const { return corrupted_; }
+  bool corrupted() const { return frames_.corrupted(); }
 
  private:
-  std::vector<u8> buf_;
-  size_t pos_ = 0;  // consumed prefix, compacted lazily
-  bool corrupted_ = false;
+  codec::Unsealer frames_{kFrameMagic};
 };
 
 }  // namespace kfi::fabric

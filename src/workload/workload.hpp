@@ -50,7 +50,7 @@ class Workload {
   virtual u32 issued() const = 0;
 
   /// Workload-specific end-of-run state validation (e.g. no packet lost).
-  virtual bool state_check(kernel::Machine& machine) { return true; }
+  virtual bool state_check(kernel::Machine& /*machine*/) { return true; }
 
   /// End-of-run validation.  Only externally observable state counts: the
   /// paper's benchmarks could not see kernel-internal bookkeeping, so a

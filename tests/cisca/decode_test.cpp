@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -164,6 +165,11 @@ struct RoundTrip {
   Op expected_op;
   u8 expected_len;
 };
+
+// gtest's default printer dumps the raw bytes of the case, including the
+// heap pointer inside `name`, which would make the listed test names differ
+// on every run.  Print the case name instead.
+void PrintTo(const RoundTrip& c, std::ostream* os) { *os << c.name; }
 
 class CiscaRoundTripTest : public ::testing::TestWithParam<RoundTrip> {};
 

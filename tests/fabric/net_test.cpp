@@ -267,6 +267,31 @@ TEST(MsgReader, FlagsCorruptionAndBadTypes) {
   }
 }
 
+TEST(MsgReader, OverLongControlHeaderRefusedAtItsTypeByte) {
+  // "KFNM" | len = 2 MiB | type kSubmit: only a journal may be that long,
+  // so the reader gives up on the 9th byte instead of buffering 2 MiB.
+  const u32 len = 2u << 20;
+  const u8 header[] = {'K', 'F', 'N', 'M',
+                       static_cast<u8>(len >> 24), static_cast<u8>(len >> 16),
+                       static_cast<u8>(len >> 8), static_cast<u8>(len),
+                       static_cast<u8>(MsgType::kSubmit)};
+  MsgReader reader;
+  reader.feed(header, 8);
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_FALSE(reader.corrupted());  // the type is not known yet
+  reader.feed(header + 8, 1);
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_TRUE(reader.corrupted());
+
+  // The same length announcing a journal is legal: the reader waits.
+  MsgReader journal;
+  journal.feed(header, 8);
+  const u8 type = static_cast<u8>(MsgType::kJournal);
+  journal.feed(&type, 1);
+  EXPECT_FALSE(journal.next().has_value());
+  EXPECT_FALSE(journal.corrupted());
+}
+
 TEST(MsgCodecs, AcceptAndRefusalRoundTrip) {
   AcceptInfo info;
   info.plan_fingerprint = 0xAB480E702F164E0Eull;

@@ -229,6 +229,34 @@ TEST(RemoteChaos, Kill9MidShardRecoversBitIdentically) {
   remove_shards(coordinator, total);
 }
 
+TEST(RemoteBackToBack, SecondRunOfTheSamePlanSeesNoDeaths) {
+  // A client resubmits a plan the moment it has the previous run's
+  // journals; the daemons must have released every (plan, shard) by
+  // then, or the second run pays kBusy refusals as host deaths.  The
+  // default 1 s heartbeat is what a lingering session would wait out.
+  const CampaignPlan plan = build_campaign_plan(pinned_spec(isa::Arch::kCisca));
+  const u32 total = static_cast<u32>(plan.targets.size());
+  Daemon d1("b2b1");
+  Daemon d2("b2b2");
+  ASSERT_GT(d1.port(), 0);
+  ASSERT_GT(d2.port(), 0);
+
+  RemoteOptions opt = base_options("back_to_back", {&d1, &d2});
+  opt.heartbeat_seconds = 1.0;
+  opt.fresh = true;
+  for (int run = 0; run < 2; ++run) {
+    RemoteCoordinator coordinator(opt);
+    remove_shards(coordinator, total);
+    const CampaignResult result = coordinator.run(plan);
+    EXPECT_EQ(inject::result_fingerprint(result), kPinnedCisca) << run;
+    EXPECT_EQ(result.fabric_worker_deaths, 0u) << run;
+    ASSERT_EQ(result.fabric_hosts.size(), 2u);
+    EXPECT_EQ(result.fabric_hosts[0].deaths, 0u) << run;
+    EXPECT_EQ(result.fabric_hosts[1].deaths, 0u) << run;
+    remove_shards(coordinator, total);
+  }
+}
+
 /// Drive one raw KFNM session by hand: send the submit, then pump
 /// messages until `done` says stop.
 class RawSession {

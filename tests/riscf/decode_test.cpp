@@ -3,6 +3,10 @@
 // the sparse-opcode-map property behind the G4's Illegal Instruction rate.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <ostream>
+#include <string>
+
 #include "common/rng.hpp"
 #include "riscf/encode.hpp"
 #include "riscf/insn.hpp"
@@ -89,6 +93,11 @@ struct WordCase {
   std::function<void(Asm&)> emit;
   Op expected;
 };
+
+// gtest's default printer dumps the raw bytes of the case, including the
+// heap pointer inside `name`, which would make the listed test names differ
+// on every run.  Print the case name instead.
+void PrintTo(const WordCase& c, std::ostream* os) { *os << c.name; }
 
 class RiscfRoundTripTest : public ::testing::TestWithParam<WordCase> {};
 

@@ -7,22 +7,20 @@
 // The daemon binds a TCP port (0 = ephemeral; --port-file publishes the
 // bound port for scripts) and serves campaign shard submissions forever:
 // each accepted connection is one session (net.hpp's KFNM protocol).
-// A session rebuilds the campaign plan deterministically from the
-// submitted spec blob and refuses — typed, before any injection — if the
-// rebuilt fingerprint disagrees with the client's --expect-plan-fp or
-// the protocol versions differ.  Accepted shards run on the existing
-// CampaignEngine in slice mode against a LOCAL journal under --dir
-// (named by plan fingerprint + shard), so a daemon that is kill -9ed
-// loses wall-clock only: the next submission with fresh=false resumes
-// the journal and already-completed indices never re-execute.
+// A session decodes the kSubmit and hands it to the ShardRunner
+// (fabric/runner.hpp), which rebuilds the plan and refuses — typed,
+// before any injection — on protocol or plan-fingerprint skew or a
+// malformed submission.  Accepted shards run against a LOCAL journal
+// under --dir (named by plan fingerprint + shard), so a daemon that is
+// kill -9ed loses wall-clock only: the next submission with fresh=false
+// resumes the journal and already-completed indices never re-execute.
 //
-// While running, the session streams KFFR status frames (hello /
-// progress / heartbeat / done) inside kStatus messages — heartbeats
-// renew the client's lease, progress frames carry the live outcome
-// tally.  On completion the shard journal is streamed back
-// byte-for-byte (kJournal).  A client that vanishes mid-run is noticed
-// by the heartbeat thread (socket probe / failed send) and the engine
-// is cancelled at the next injection boundary with the journal flushed.
+// While running, the session streams KFFR status frames inside kStatus
+// messages — heartbeats renew the client's lease, progress frames carry
+// the live outcome tally.  On completion the shard journal is streamed
+// back byte-for-byte (kJournal).  A client that vanishes mid-run fails
+// the next frame's socket probe or send, which cancels the engine at the
+// next injection boundary with the journal flushed.
 //
 // SIGTERM/SIGINT drain: stop accepting, let in-flight sessions finish,
 // then exit 0.
@@ -31,26 +29,23 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <array>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdarg>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <fstream>
+#include <future>
 #include <mutex>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "fabric/net.hpp"
+#include "fabric/runner.hpp"
 #include "fabric/shard.hpp"
 #include "fabric/wire.hpp"
-#include "inject/campaign.hpp"
-#include "inject/engine.hpp"
-#include "inject/journal.hpp"
 
 using namespace kfi;
 
@@ -89,307 +84,136 @@ struct ActiveKey {
     held = g_active.insert(key).second;
     return held;
   }
-  ~ActiveKey() {
+  void release() {
     if (!held) return;
     const std::lock_guard<std::mutex> lock(g_active_mutex);
     g_active.erase(key);
+    held = false;
   }
+  ~ActiveKey() { release(); }
 };
 
-void refuse(int fd, fabric::RefuseCode code, const std::string& reason) {
-  fabric::Refusal r;
-  r.code = code;
-  r.reason = reason;
-  fabric::send_message(
-      fd, fabric::NetMessage{fabric::MsgType::kRefuse,
-                             fabric::encode_refusal(r)});
-  logf("refused: %s", reason.c_str());
-}
-
-/// Wait for the client's kSubmit on a fresh connection.  Bounded: a
-/// connection that stays silent or trickles garbage is dropped so a
-/// draining daemon never wedges on it.
+/// Wait for the client's kSubmit on a fresh connection; nullopt when the
+/// client goes away first.  Bounded: a connection that stays silent is
+/// dropped so a draining daemon never wedges on it.  Anything but a
+/// decodable submit is refused kBadRequest (ShardError).
 std::optional<fabric::SubmitRequest> read_submit(int fd) {
   fabric::MsgReader reader;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (std::chrono::steady_clock::now() < deadline) {
+  while (std::chrono::steady_clock::now() < deadline && !g_shutdown.load()) {
     pollfd pfd{fd, POLLIN, 0};
     const int rc = ::poll(&pfd, 1, 500);
     if (rc < 0 && errno != EINTR) return std::nullopt;
-    if (g_shutdown.load()) return std::nullopt;
     if (rc <= 0) continue;
     u8 buf[65536];
     const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return std::nullopt;
-    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return std::nullopt;
     reader.feed(buf, static_cast<size_t>(n));
     if (auto msg = reader.next()) {
-      if (msg->type != fabric::MsgType::kSubmit) {
-        refuse(fd, fabric::RefuseCode::kBadRequest,
-               "expected a submit message");
-        return std::nullopt;
-      }
-      auto req = fabric::decode_submit(msg->body);
+      auto req = msg->type == fabric::MsgType::kSubmit
+                     ? fabric::decode_submit(msg->body)
+                     : std::nullopt;
       if (!req) {
-        refuse(fd, fabric::RefuseCode::kBadRequest,
-               "submit body does not decode");
+        throw fabric::ShardError(fabric::RefuseCode::kBadRequest,
+                                 "expected a decodable submit message");
       }
       return req;
     }
     if (reader.corrupted()) {
-      refuse(fd, fabric::RefuseCode::kBadRequest, "corrupt message stream");
-      return std::nullopt;
+      throw fabric::ShardError(fabric::RefuseCode::kBadRequest,
+                               "corrupt message stream");
     }
   }
   return std::nullopt;
 }
 
-/// Serialize all socket writes of one session (engine progress callback
-/// and heartbeat thread both send status frames).
-struct SessionSender {
-  int fd;
-  std::mutex mutex;
-  std::atomic<bool> dead{false};
-
-  bool send(fabric::MsgType type, std::vector<u8> body) {
-    const std::lock_guard<std::mutex> lock(mutex);
-    if (dead.load()) return false;
-    if (!fabric::send_message(fd, fabric::NetMessage{type, std::move(body)})) {
-      dead.store(true);
-      return false;
-    }
-    return true;
-  }
-  bool send_frame(const fabric::StatusFrame& frame) {
-    return send(fabric::MsgType::kStatus, fabric::encode_frame(frame));
-  }
-};
+/// A client that closed its end (lease revoked, Ctrl-C, crash) reads as
+/// EOF or an error here; EAGAIN means it is still there.
+bool client_alive(int fd) {
+  char probe;
+  const ssize_t r = ::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
+  return r > 0 || (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK ||
+                             errno == EINTR));
+}
 
 void serve_session(int fd, const std::string& dir) {
-  const auto req = read_submit(fd);
-  if (!req) {
-    ::close(fd);
-    return;
-  }
-
-  if (req->protocol != fabric::kNetProtocolVersion) {
-    refuse(fd, fabric::RefuseCode::kSkew,
-           "protocol version " + std::to_string(req->protocol) +
-               " != daemon's " +
-               std::to_string(fabric::kNetProtocolVersion));
-    ::close(fd);
-    return;
-  }
-  const auto spec = fabric::deserialize_campaign_spec(req->spec);
-  if (!spec) {
-    refuse(fd, fabric::RefuseCode::kBadRequest, "spec blob does not decode");
-    ::close(fd);
-    return;
-  }
-  const auto indices = fabric::parse_index_ranges(req->indices);
-  if (!indices || indices->empty()) {
-    refuse(fd, fabric::RefuseCode::kBadRequest,
-           "bad index ranges '" + req->indices + "'");
-    ::close(fd);
-    return;
-  }
-
+  const struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd};
   try {
+    auto req = read_submit(fd);
+    if (!req) return;
+    // Knobs a client left at zero get the daemon's defaults.
+    if (req->jobs == 0) req->jobs = 1;
+    if (req->retries == 0) req->retries = 1;
+    if (req->heartbeat_seconds <= 0.0) req->heartbeat_seconds = 1.0;
+    const u32 shard = req->shard, shards = req->shards;
+    const bool fresh = req->fresh;
+
     // Plan building is deterministic, so the fingerprint handshake
     // catches any skew between client and daemon binaries before the
     // first injection.
-    const inject::CampaignPlan plan = inject::build_campaign_plan(*spec);
-    const u64 plan_fp = inject::plan_fingerprint(plan);
-    if (plan_fp != req->expect_plan_fp) {
-      char want[17], got[17];
-      std::snprintf(want, sizeof(want), "%016llx",
-                    static_cast<unsigned long long>(req->expect_plan_fp));
-      std::snprintf(got, sizeof(got), "%016llx",
-                    static_cast<unsigned long long>(plan_fp));
-      refuse(fd, fabric::RefuseCode::kSkew,
-             std::string("plan fingerprint skew: client expects ") + want +
-                 ", daemon rebuilt " + got +
-                 " (client and daemon binaries disagree)");
-      ::close(fd);
-      return;
-    }
-    for (const u32 i : *indices) {
-      if (i >= plan.targets.size()) {
-        refuse(fd, fabric::RefuseCode::kBadRequest,
-               "index " + std::to_string(i) + " out of range (plan has " +
-                   std::to_string(plan.targets.size()) + " targets)");
-        ::close(fd);
-        return;
-      }
-    }
-
+    fabric::ShardRunner runner(std::move(*req));
+    const u64 plan_fp = runner.plan_fingerprint();
     ActiveKey active;
-    if (!active.acquire(plan_fp, req->shard)) {
-      refuse(fd, fabric::RefuseCode::kBusy,
-             "shard " + std::to_string(req->shard) +
-                 " of this plan already has a live session");
-      ::close(fd);
-      return;
+    if (!active.acquire(plan_fp, shard)) {
+      throw fabric::ShardError(fabric::RefuseCode::kBusy,
+                               "shard " + std::to_string(shard) +
+                                   " of this plan already has a live session");
     }
 
-    char fp_hex[17];
-    std::snprintf(fp_hex, sizeof(fp_hex), "%016llx",
-                  static_cast<unsigned long long>(plan_fp));
-    const std::string journal_path = fabric::shard_journal_path(
-        dir + "/" + fp_hex, req->shard, req->shards);
-    if (req->fresh) {
-      std::remove(journal_path.c_str());
-    }
-    const inject::FlushPolicy flush =
-        req->flush == static_cast<u8>(inject::FlushPolicy::kFlush)
-            ? inject::FlushPolicy::kFlush
-            : inject::FlushPolicy::kFsync;
-    inject::InjectionJournal journal = [&]() {
-      try {
-        return inject::InjectionJournal::resume(journal_path, plan, flush);
-      } catch (const inject::JournalError&) {
-        return inject::InjectionJournal::create(journal_path, plan, flush);
-      }
-    }();
-
+    const std::string fp_hex = fabric::fingerprint_hex(plan_fp);
+    const std::string journal_path =
+        fabric::shard_journal_path(dir + "/" + fp_hex, shard, shards);
     fabric::AcceptInfo info;
     info.plan_fingerprint = plan_fp;
-    info.resumed = static_cast<u32>(journal.recovered().size());
+    info.resumed = runner.open_journal(journal_path);
     info.pid = static_cast<u32>(::getpid());
-    SessionSender sender{fd};
-    if (!sender.send(fabric::MsgType::kAccept, fabric::encode_accept(info))) {
-      ::close(fd);
+    if (!fabric::send_message(fd, fabric::NetMessage{
+                                      fabric::MsgType::kAccept,
+                                      fabric::encode_accept(info)})) {
       return;
     }
-    logf("accepted plan %s shard %u/%u (%zu indices, %u resumed%s)", fp_hex,
-         req->shard, req->shards, indices->size(), info.resumed,
-         req->fresh ? ", fresh" : "");
+    logf("accepted plan %s shard %u/%u (%u resumed%s)", fp_hex.c_str(), shard,
+         shards, info.resumed, fresh ? ", fresh" : "");
 
-    fabric::StatusFrame base;
-    base.plan_fingerprint = plan_fp;
-    base.shard = req->shard;
-    base.pid = info.pid;
-    base.total = static_cast<u32>(indices->size());
-
-    // Live outcome tally, seeded from the resumed journal.
-    std::array<std::atomic<u32>, fabric::kFrameOutcomeSlots> outcomes{};
-    auto count_outcome = [&outcomes](inject::OutcomeCategory outcome) {
-      const auto slot = static_cast<size_t>(outcome);
-      if (slot < outcomes.size()) {
-        outcomes[slot].fetch_add(1, std::memory_order_relaxed);
-      }
-    };
-    for (const inject::JournalEntry& e : journal.recovered()) {
-      count_outcome(e.record.outcome);
-    }
-    auto fill_outcomes = [&outcomes](fabric::StatusFrame& f) {
-      for (size_t i = 0; i < f.outcomes.size(); ++i) {
-        f.outcomes[i] = outcomes[i].load(std::memory_order_relaxed);
-      }
-    };
-
-    fabric::StatusFrame hello = base;
-    hello.type = fabric::FrameType::kHello;
-    sender.send_frame(hello);
-
-    // The heartbeat thread renews the client's lease through long
-    // injections AND doubles as the socket-health probe: a client that
-    // closed its end (lease revoked, Ctrl-C, crash) turns the probe or
-    // the next send into a failure, which cancels the engine at the
-    // next injection boundary — the journal stays flushed for the
-    // re-dispatch.
-    std::atomic<bool> cancel{false};
-    std::atomic<u32> done_count{static_cast<u32>(info.resumed)};
-    std::atomic<bool> stop_heartbeat{false};
-    const double heartbeat =
-        req->heartbeat_seconds > 0.0 ? req->heartbeat_seconds : 1.0;
-    std::thread heartbeat_thread([&]() {
-      while (!stop_heartbeat.load()) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(heartbeat));
-        if (stop_heartbeat.load()) break;
-        char probe;
-        const ssize_t r =
-            ::recv(fd, &probe, 1, MSG_PEEK | MSG_DONTWAIT);
-        if (r == 0 || (r < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
-                       errno != EINTR)) {
-          cancel.store(true);
-          sender.dead.store(true);
-          return;
-        }
-        fabric::StatusFrame f = base;
-        f.type = fabric::FrameType::kHeartbeat;
-        f.done = done_count.load();
-        fill_outcomes(f);
-        if (!sender.send_frame(f)) {
-          cancel.store(true);
-          return;
-        }
-      }
+    // Every frame probes the client first: a vanished client fails the
+    // sink, which cancels the engine at the next injection boundary with
+    // the journal flushed for the re-dispatch.
+    const bool done = runner.run([fd](const fabric::StatusFrame& f) {
+      return client_alive(fd) &&
+             fabric::send_message(
+                 fd, fabric::NetMessage{fabric::MsgType::kStatus,
+                                        fabric::encode_frame(f)});
     });
-    struct HeartbeatGuard {
-      std::atomic<bool>& stop;
-      std::thread& thread;
-      ~HeartbeatGuard() {
-        stop.store(true);
-        if (thread.joinable()) thread.join();
-      }
-    } guard{stop_heartbeat, heartbeat_thread};
-
-    inject::RunControl control;
-    control.journal = &journal;
-    control.indices = &*indices;
-    control.retries = req->retries > 0 ? req->retries : 1;
-    control.stall_seconds = req->stall_seconds;
-    control.cancel = &cancel;
-    control.record_observer =
-        [&](u32, const inject::InjectionRecord& record) {
-          count_outcome(record.outcome);
-        };
-    const inject::CampaignResult result =
-        inject::CampaignEngine(req->jobs > 0 ? req->jobs : 1)
-            .run(
-                plan,
-                [&](u32 done, u32 total) {
-                  done_count.store(done);
-                  fabric::StatusFrame f = base;
-                  f.type = fabric::FrameType::kProgress;
-                  f.done = done;
-                  f.total = total;
-                  fill_outcomes(f);
-                  sender.send_frame(f);
-                },
-                control);
-
-    if (result.interrupted || cancel.load()) {
+    if (!done) {
       logf("session for shard %u cancelled (client gone); journal kept",
-           req->shard);
-      ::close(fd);
+           shard);
       return;
     }
-
-    fabric::StatusFrame done = base;
-    done.type = fabric::FrameType::kDone;
-    done.done = static_cast<u32>(indices->size());
-    fill_outcomes(done);
-    done.executed = result.journal_flushes;
-    done.quarantined = result.quarantined;
-    done.stalls = result.stalls;
-    done.harness_retries = result.harness_retries;
-    done.backoff_waits = result.retry_backoff_waits;
-    done.backoff_seconds = result.retry_backoff_seconds;
-    sender.send_frame(done);
 
     // Stream the completed shard journal back byte-for-byte; the client
-    // splices it with the other shards.
+    // splices it with the other shards.  The shard is released first, so
+    // a client that resubmits the moment it has the journal is not
+    // refused kBusy.
     std::ifstream in(journal_path, std::ios::binary);
     std::vector<u8> bytes((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
-    sender.send(fabric::MsgType::kJournal, std::move(bytes));
-    logf("shard %u complete, journal streamed (%s)", req->shard,
+    active.release();
+    fabric::send_message(
+        fd, fabric::NetMessage{fabric::MsgType::kJournal, std::move(bytes)});
+    logf("shard %u complete, journal streamed (%s)", shard,
          journal_path.c_str());
+  } catch (const fabric::ShardError& e) {
+    fabric::Refusal r;
+    r.code = e.code;
+    r.reason = e.what();
+    fabric::send_message(fd, fabric::NetMessage{fabric::MsgType::kRefuse,
+                                                fabric::encode_refusal(r)});
+    logf("refused: %s", e.what());
   } catch (const std::exception& e) {
     fabric::StatusFrame f;
     f.type = fabric::FrameType::kError;
@@ -398,7 +222,6 @@ void serve_session(int fd, const std::string& dir) {
                                                 fabric::encode_frame(f)});
     logf("session error: %s", e.what());
   }
-  ::close(fd);
 }
 
 void usage(const char* argv0) {
@@ -477,24 +300,9 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "campaignd: listening on %s:%u (journals in %s)\n",
                bind_addr.c_str(), bound, dir.c_str());
 
-  // Sessions carry a done flag so the accept loop can reap finished
-  // threads as it goes — the daemon serves many campaigns over its life.
-  struct Session {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::vector<Session> sessions;
-  auto reap_done = [&sessions]() {
-    for (size_t i = 0; i < sessions.size();) {
-      if (sessions[i].done->load()) {
-        sessions[i].thread.join();
-        sessions.erase(sessions.begin() + static_cast<long>(i));
-      } else {
-        ++i;
-      }
-    }
-  };
-
+  // One thread per session; the accept loop reaps finished ones as it
+  // goes — the daemon serves many campaigns over its life.
+  std::vector<std::future<void>> sessions;
   while (!g_shutdown.load()) {
     pollfd pfd{listen_fd, POLLIN, 0};
     const int rc = ::poll(&pfd, 1, 200);
@@ -503,7 +311,9 @@ int main(int argc, char** argv) {
                    std::strerror(errno));
       break;
     }
-    reap_done();
+    std::erase_if(sessions, [](const std::future<void>& f) {
+      return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+    });
     if (rc <= 0) continue;
     const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
@@ -512,12 +322,7 @@ int main(int argc, char** argv) {
                    std::strerror(errno));
       break;
     }
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    sessions.push_back(Session{std::thread([fd, dir, done]() {
-                                 serve_session(fd, dir);
-                                 done->store(true);
-                               }),
-                               done});
+    sessions.push_back(std::async(std::launch::async, serve_session, fd, dir));
   }
 
   // SIGTERM drain: stop accepting, let in-flight shards finish (their
@@ -525,8 +330,6 @@ int main(int argc, char** argv) {
   ::close(listen_fd);
   std::fprintf(stderr, "campaignd: draining %zu session(s)\n",
                sessions.size());
-  for (Session& s : sessions) {
-    if (s.thread.joinable()) s.thread.join();
-  }
+  sessions.clear();  // each future's destructor waits for its session
   return 0;
 }
