@@ -45,7 +45,8 @@ CiscaCpu::~CiscaCpu() = default;
 
 isa::SystemRegisterBank& CiscaCpu::sysregs() { return *sysregs_; }
 
-void CiscaCpu::raise(Cause cause, Addr addr, bool has_addr, u32 aux) {
+isa::Trap CiscaCpu::make_trap(Cause cause, Addr addr, bool has_addr,
+                              u32 aux) {
   isa::Trap trap;
   trap.cause = static_cast<u32>(cause);
   trap.pc = regs_.eip;
@@ -53,26 +54,38 @@ void CiscaCpu::raise(Cause cause, Addr addr, bool has_addr, u32 aux) {
   trap.has_addr = has_addr;
   trap.aux = aux;
   if (cause == Cause::kPageFault) regs_.cr2 = addr;
-  throw TrapException{trap};
+  return trap;
+}
+
+void CiscaCpu::raise(Cause cause, Addr addr, bool has_addr, u32 aux) {
+  throw TrapException{make_trap(cause, addr, has_addr, aux)};
+}
+
+void CiscaCpu::deliver(Cause cause, Addr addr, bool has_addr, u32 aux) {
+  pending_trap_ = make_trap(cause, addr, has_addr, aux);
+  trap_pending_ = true;
 }
 
 FetchWindow CiscaCpu::fetch_window(Addr pc) const {
   FetchWindow window;
   window.pc = pc;
   // One translation per page touched: fill from the first page, then (only
-  // if the window straddles a boundary) from the next.
-  const auto tr = space_.translate(pc, 1, mem::Access::kExecute);
-  if (!tr.ok()) return window;
-  window.phys = tr.phys;
+  // if the window straddles a boundary) from the next.  One-byte fetches
+  // never cross a page, so the fast path fails only on a fault.
+  u32 phys = 0;
+  if (!space_.try_translate(pc, 1, mem::Access::kExecute, &phys)) {
+    return window;
+  }
+  window.phys = phys;
   const u32 in_page = mem::kPageSize - (pc & (mem::kPageSize - 1));
   const u32 first = std::min<u32>(kMaxInsnBytes, in_page);
-  space_.phys().read_bytes(tr.phys, window.bytes, first);
+  space_.phys().read_bytes(phys, window.bytes, first);
   window.valid = static_cast<u8>(first);
   if (first < kMaxInsnBytes) {
-    const auto tr2 = space_.translate(pc + first, 1, mem::Access::kExecute);
-    if (tr2.ok()) {
-      window.phys_page2 = tr2.phys >> mem::kPageShift;
-      space_.phys().read_bytes(tr2.phys, window.bytes + first,
+    u32 phys2 = 0;
+    if (space_.try_translate(pc + first, 1, mem::Access::kExecute, &phys2)) {
+      window.phys_page2 = phys2 >> mem::kPageShift;
+      space_.phys().read_bytes(phys2, window.bytes + first,
                                kMaxInsnBytes - first);
       window.valid = kMaxInsnBytes;
     }
@@ -111,8 +124,8 @@ const CiscaCpu::DecodeCacheEntry& CiscaCpu::decode_cached(Addr pc) {
   }
   // One translation either way; on a hit it also revalidates that pc is
   // still fetchable under the current (boot-time) mapping.
-  const auto tr = space_.translate(pc, 1, mem::Access::kExecute);
-  if (!tr.ok()) {
+  u32 phys = 0;
+  if (!space_.try_translate(pc, 1, mem::Access::kExecute, &phys)) {
     FetchWindow window;  // empty: decode reports a fetch fault at pc
     window.pc = pc;
     dcache_scratch_.tag = kNoPage;
@@ -122,10 +135,10 @@ const CiscaCpu::DecodeCacheEntry& CiscaCpu::decode_cached(Addr pc) {
     return dcache_scratch_;
   }
   const mem::PhysicalMemory& pm = space_.phys();
-  DecodeCacheEntry& entry = dcache_[tr.phys & (kDecodeCacheEntries - 1)];
-  if (entry.tag == tr.phys && entry.vpc == pc) {
+  DecodeCacheEntry& entry = dcache_[phys & (kDecodeCacheEntries - 1)];
+  if (entry.tag == phys && entry.vpc == pc) {
     const bool fresh =
-        entry.ver1 == pm.page_version(tr.phys >> mem::kPageShift) &&
+        entry.ver1 == pm.page_version(phys >> mem::kPageShift) &&
         (entry.page2 == kNoPage ||
          entry.ver2 == pm.page_version(entry.page2));
     if (fresh) {
@@ -136,10 +149,10 @@ const CiscaCpu::DecodeCacheEntry& CiscaCpu::decode_cached(Addr pc) {
   }
   ++dcache_stats_.misses;
   const FetchWindow window = fetch_window(pc);
-  entry.tag = tr.phys;
+  entry.tag = phys;
   entry.vpc = pc;
   entry.page2 = window.phys_page2;
-  entry.ver1 = pm.page_version(tr.phys >> mem::kPageShift);
+  entry.ver1 = pm.page_version(phys >> mem::kPageShift);
   entry.ver2 = entry.page2 == kNoPage ? 0 : pm.page_version(entry.page2);
   entry.dec = decode(window);
   entry.byte0 = window.bytes[0];
@@ -178,34 +191,44 @@ u32 CiscaCpu::effective_addr(const MemOperand& mem) {
 }
 
 u32 CiscaCpu::read_mem(Addr addr, u8 width) {
-  const auto tr = space_.translate(addr, width, mem::Access::kRead);
-  if (!tr.ok()) raise(Cause::kPageFault, addr, true);
+  u32 phys = 0;
+  if (!space_.try_translate(addr, width, mem::Access::kRead, &phys)) {
+    const auto tr = space_.translate(addr, width, mem::Access::kRead);
+    if (!tr.ok()) raise(Cause::kPageFault, addr, true);
+    phys = tr.phys;
+  }
   cycles_ += 2;
   u32 value = 0;
   switch (width) {
-    case 1: value = space_.phys().read8(tr.phys); break;
-    case 2: value = space_.phys().read16(tr.phys, mem::Endian::kLittle); break;
-    case 4: value = space_.phys().read32(tr.phys, mem::Endian::kLittle); break;
+    case 1: value = space_.phys().read8(phys); break;
+    case 2: value = space_.phys().read16(phys, mem::Endian::kLittle); break;
+    case 4: value = space_.phys().read32(phys, mem::Endian::kLittle); break;
     default: KFI_CHECK(false, "bad width");
   }
   if (current_result_ != nullptr && debug_.data_bp_any()) {
     debug_.record_access(addr, width, /*is_write=*/false, *current_result_);
   }
-  if (sink_ != nullptr) sink_->on_mem_read(addr, tr.phys, width);
+  if (sink_ != nullptr) sink_->on_mem_read(addr, phys, width);
   return value;
 }
 
 void CiscaCpu::write_mem(Addr addr, u8 width, u32 value) {
-  const auto tr = space_.translate(addr, width, mem::Access::kWrite);
-  if (!tr.ok()) {
-    // With CR0.WP cleared (a possible register-injection effect), the
-    // supervisor ignores write protection, like real IA-32.
-    const bool wp_off = !test_bit(regs_.cr0, kCr0WP);
-    const bool only_wp = tr.fault->kind == mem::FaultKind::kNoWrite;
-    if (!(wp_off && only_wp)) raise(Cause::kPageFault, addr, true);
+  u32 phys = 0;
+  if (!space_.try_translate(addr, width, mem::Access::kWrite, &phys)) {
+    const auto tr = space_.translate(addr, width, mem::Access::kWrite);
+    if (tr.ok()) {
+      phys = tr.phys;
+    } else {
+      // With CR0.WP cleared (a possible register-injection effect), the
+      // supervisor ignores write protection, like real IA-32: the store
+      // goes through the read translation (phys 0 if even that faults).
+      const bool wp_off = !test_bit(regs_.cr0, kCr0WP);
+      const bool only_wp = tr.fault->kind == mem::FaultKind::kNoWrite;
+      if (!(wp_off && only_wp)) raise(Cause::kPageFault, addr, true);
+      const auto rd = space_.translate(addr, width, mem::Access::kRead);
+      phys = rd.ok() ? rd.phys : tr.phys;
+    }
   }
-  const auto rd = space_.translate(addr, width, mem::Access::kRead);
-  const u32 phys = rd.ok() ? rd.phys : tr.phys;
   cycles_ += 2;
   switch (width) {
     case 1: space_.phys().write8(phys, static_cast<u8>(value)); break;
@@ -410,6 +433,7 @@ isa::StepResult CiscaCpu::step() {
     }
     execute(dec.insn);
     cycles_ += 1;
+    take_pending_trap(result);
   } catch (const TrapException& te) {
     result.status = isa::StepStatus::kTrap;
     result.trap = te.trap;
@@ -637,13 +661,16 @@ struct CiscaOps {
     (void)insn;
     c.raise(Cause::kBreakpointTrap);
   }
-  [[noreturn]] static void int_(CiscaCpu& c, const Insn& insn) {
+  static void int_(CiscaCpu& c, const Insn& insn) {
     c.regs_.eip += insn.length;  // trap handlers see the return address
+    // The trap is the instruction's last act, so it is delivered, not
+    // thrown: no C++ unwinding on the syscall path.
     switch (insn.int_vector) {
-      case 0x80: c.raise(Cause::kSyscall);
-      case 0x82: c.raise(Cause::kKernelPanic);
-      case 0x83: c.raise(Cause::kSyscallReturn);
-      default: c.raise(Cause::kGeneralProtection, 0, false, insn.int_vector);
+      case 0x80: c.deliver(Cause::kSyscall); break;
+      case 0x82: c.deliver(Cause::kKernelPanic); break;
+      case 0x83: c.deliver(Cause::kSyscallReturn); break;
+      default:
+        c.deliver(Cause::kGeneralProtection, 0, false, insn.int_vector);
     }
   }
   static void bound(CiscaCpu& c, const Insn& insn) {
@@ -1263,12 +1290,16 @@ isa::StepResult CiscaCpu::step_block(const isa::BlockLimits& limits,
   if (!test_bit(regs_.cr0, kCr0PE) || !test_bit(regs_.cr0, kCr0PG)) {
     return step();  // raises #GP with the step() bookkeeping
   }
-  const auto tr = space_.translate(regs_.eip, 1, mem::Access::kExecute);
-  if (!tr.ok()) return step();  // unfetchable pc: step() raises
+  // A one-byte fetch never crosses a page, so the fast path fails only
+  // when the pc is unfetchable; step() then raises.
+  u32 phys0 = 0;
+  if (!space_.try_translate(regs_.eip, 1, mem::Access::kExecute, &phys0)) {
+    return step();
+  }
   mem::PhysicalMemory& pm = space_.phys();
-  Superblock& blk = sblocks_[tr.phys & (kSuperblockEntries - 1)];
+  Superblock& blk = sblocks_[phys0 & (kSuperblockEntries - 1)];
   bool hit = false;
-  if (blk.tag == tr.phys && blk.vpc == regs_.eip) {
+  if (blk.tag == phys0 && blk.vpc == regs_.eip) {
     if (blk.ver == pm.page_version(blk.page)) {
       hit = true;
     } else {
@@ -1279,7 +1310,7 @@ isa::StepResult CiscaCpu::step_block(const isa::BlockLimits& limits,
     ++sb_stats_.hits;
   } else {
     ++sb_stats_.misses;
-    if (!build_block(blk, regs_.eip, tr.phys)) return step();
+    if (!build_block(blk, regs_.eip, phys0)) return step();
   }
   ++sb_stats_.dispatches;
 
@@ -1318,6 +1349,7 @@ isa::StepResult CiscaCpu::step_block(const isa::BlockLimits& limits,
       }
       bi.fn(*this, bi.insn);
       cycles_ += 1;
+      if (take_pending_trap(result)) break;
       ++done;
       if (result.num_data_hits > 0) break;
       if (halted_pending_) break;

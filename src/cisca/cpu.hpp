@@ -150,8 +150,24 @@ class CiscaCpu final : public isa::CpuCore {
   /// reference is valid until the next call.
   const DecodeCacheEntry& decode_cached(Addr pc);
 
+  /// Traps come in two kinds.  `raise` aborts an instruction midway (a
+  /// fault in a memory access, a bad selector, a divide error) by
+  /// throwing to the step()/step_block() catch.  `deliver` is for a trap
+  /// that is the instruction's last act (`int`): it only records the trap,
+  /// and step()/step_block() report it exactly as the catch would.  Both
+  /// build the trap, with its register side effects, through make_trap.
+  isa::Trap make_trap(Cause cause, Addr addr, bool has_addr, u32 aux);
   [[noreturn]] void raise(Cause cause, Addr addr = 0, bool has_addr = false,
                           u32 aux = 0);
+  void deliver(Cause cause, Addr addr = 0, bool has_addr = false, u32 aux = 0);
+  /// Move a delivered trap into `result` (status kTrap); false if none.
+  bool take_pending_trap(isa::StepResult& result) {
+    if (!trap_pending_) return false;
+    trap_pending_ = false;
+    result.status = isa::StepStatus::kTrap;
+    result.trap = pending_trap_;
+    return true;
+  }
   FetchWindow fetch_window(Addr pc) const;
   u32 effective_addr(const MemOperand& mem);
   u32 resolve_seg_base(SegOverride seg, u32 offset);
@@ -194,6 +210,8 @@ class CiscaCpu final : public isa::CpuCore {
   trace::TraceSink* sink_ = nullptr;
   Addr stack_lo_ = 0, stack_hi_ = 0;
   bool halted_pending_ = false;
+  bool trap_pending_ = false;
+  isa::Trap pending_trap_;
   bool dcache_enabled_ = false;
   std::vector<DecodeCacheEntry> dcache_;  // allocated when enabled
   DecodeCacheEntry dcache_scratch_;       // uncacheable results

@@ -47,8 +47,11 @@ double BucketHistogram::fraction(size_t bucket) const {
 
 std::string BucketHistogram::label(size_t bucket) const {
   KFI_CHECK(bucket < counts_.size(), "bucket out of range");
-  if (bucket == edges_.size()) return ">" + human_edge(edges_.back());
-  return "<=" + human_edge(edges_[bucket]);
+  // Appending (not `literal + string`) sidesteps a GCC 12 -Wrestrict
+  // false positive.
+  std::string out = bucket == edges_.size() ? ">" : "<=";
+  out += human_edge(bucket == edges_.size() ? edges_.back() : edges_[bucket]);
+  return out;
 }
 
 std::vector<double> BucketHistogram::fractions() const {

@@ -144,7 +144,10 @@ std::string ErrnoModel::name() const {
     s += buf;
   }
   if (value == ErrnoValue::kDrawnNegative) s += " drawn";
-  s += "[" + syscall_list_name(syscalls) + "]";
+  // Appending piecewise sidesteps a GCC 12 -Wrestrict false positive.
+  s += "[";
+  s += syscall_list_name(syscalls);
+  s += "]";
   return s;
 }
 

@@ -32,7 +32,11 @@ std::string format_index_ranges(const std::vector<u32>& indices) {
     while (j + 1 < indices.size() && indices[j + 1] == indices[j] + 1) ++j;
     if (!out.empty()) out += ",";
     out += std::to_string(indices[i]);
-    if (j > i) out += "-" + std::to_string(indices[j]);
+    if (j > i) {
+      // Appending piecewise sidesteps a GCC 12 -Wrestrict false positive.
+      out += "-";
+      out += std::to_string(indices[j]);
+    }
     i = j + 1;
   }
   return out;

@@ -31,7 +31,10 @@ const Region& AddressSpace::note_unmapped(const std::string& name, Addr base,
 
 u32 AddressSpace::must_translate(Addr va, u32 len) const {
   // Raw accessors are for trusted host-side code (loader, injector, kernel
-  // glue); they bypass permissions but still require a mapping.
+  // glue); they bypass permissions but still require a mapping.  The common
+  // case (readable, in-page) is one table lookup.
+  u32 phys = 0;
+  if (mmu_.try_translate(va, len, Access::kRead, &phys)) return phys;
   const auto it = mmu_.perms_of(va);
   if (!it.has_value()) {
     char buf[64];

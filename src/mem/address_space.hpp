@@ -63,6 +63,12 @@ class AddressSpace {
     return mmu_.translate(va, len, access);
   }
 
+  /// The in-page fast path (see Mmu::try_translate): CPU models call it
+  /// first and fall back to `translate` only when it returns false.
+  bool try_translate(Addr va, u32 len, Access access, u32* phys) const {
+    return mmu_.try_translate(va, len, access, phys);
+  }
+
   /// Which named region (mapped or noted-unmapped) contains va, if any.
   const Region* region_of(Addr va) const;
   const Region* region_named(const std::string& name) const;

@@ -4,79 +4,89 @@
 
 namespace kfi::mem {
 
+Mmu::Mmu() { dir_.fill(&kEmptyLeaf); }
+
+Mmu::~Mmu() = default;
+
+u32 Mmu::pack(u32 paddr, const PagePerms& perms) {
+  return paddr | kValid | (perms.read ? kRead : 0) |
+         (perms.write ? kWrite : 0) | (perms.execute ? kExecute : 0) |
+         (perms.bus ? kBus : 0);
+}
+
+u32& Mmu::writable_entry(u32 vpn) {
+  const Leaf*& slot = dir_[vpn >> kLeafBits];
+  if (slot == &kEmptyLeaf) {
+    leaves_.push_back(std::make_unique<Leaf>());
+    leaves_.back()->fill(0);
+    slot = leaves_.back().get();
+  }
+  // Every slot other than kEmptyLeaf points into leaves_, which owns it
+  // mutably.
+  return const_cast<Leaf&>(*slot)[vpn & (kLeafEntries - 1)];
+}
+
 void Mmu::map(Addr vaddr, u32 paddr, u32 pages, PagePerms perms) {
   KFI_CHECK((vaddr & (kPageSize - 1)) == 0, "map: vaddr not page aligned");
   KFI_CHECK((paddr & (kPageSize - 1)) == 0, "map: paddr not page aligned");
+  KFI_CHECK(pages <= (0x100000000ull - vaddr) >> kPageShift,
+            "map: range wraps the address space");
   for (u32 i = 0; i < pages; ++i) {
-    pages_[(vaddr >> kPageShift) + i] = Entry{(paddr >> kPageShift) + i, perms};
+    writable_entry((vaddr >> kPageShift) + i) =
+        pack(paddr + i * kPageSize, perms);
   }
 }
 
 void Mmu::unmap(Addr vaddr, u32 pages) {
   KFI_CHECK((vaddr & (kPageSize - 1)) == 0, "unmap: vaddr not page aligned");
-  for (u32 i = 0; i < pages; ++i) pages_.erase((vaddr >> kPageShift) + i);
+  KFI_CHECK(pages <= (0x100000000ull - vaddr) >> kPageShift,
+            "unmap: range wraps the address space");
+  for (u32 i = 0; i < pages; ++i) {
+    const u32 vpn = (vaddr >> kPageShift) + i;
+    if (entry(vpn) != 0) writable_entry(vpn) = 0;
+  }
 }
 
-namespace {
-
-std::optional<MemFault> perm_fault(const PagePerms& p, Addr vaddr,
-                                   Access access) {
-  if (p.bus) return MemFault{FaultKind::kBusRegion, vaddr, access};
-  switch (access) {
-    case Access::kRead:
-      if (!p.read) return MemFault{FaultKind::kNoRead, vaddr, access};
-      break;
-    case Access::kWrite:
-      if (!p.write) return MemFault{FaultKind::kNoWrite, vaddr, access};
-      break;
-    case Access::kExecute:
-      if (!p.execute) return MemFault{FaultKind::kNoExecute, vaddr, access};
-      break;
+std::optional<MemFault> Mmu::page_fault(u32 e, Addr vaddr, Access access) {
+  if ((e & kValid) == 0) return MemFault{FaultKind::kUnmapped, vaddr, access};
+  if ((e & kBus) != 0) return MemFault{FaultKind::kBusRegion, vaddr, access};
+  if ((e & access_bit(access)) == 0) {
+    switch (access) {
+      case Access::kRead: return MemFault{FaultKind::kNoRead, vaddr, access};
+      case Access::kWrite: return MemFault{FaultKind::kNoWrite, vaddr, access};
+      case Access::kExecute:
+        return MemFault{FaultKind::kNoExecute, vaddr, access};
+    }
   }
   return std::nullopt;
 }
 
-}  // namespace
-
-TranslateResult Mmu::translate(Addr vaddr, u32 len, Access access) const {
+TranslateResult Mmu::translate_slow(Addr vaddr, u32 len, Access access) const {
   TranslateResult result;
-  const auto it = pages_.find(vaddr >> kPageShift);
-  if (it == pages_.end()) {
-    result.fault = MemFault{FaultKind::kUnmapped, vaddr, access};
-    return result;
-  }
-  if (auto fault = perm_fault(it->second.perms, vaddr, access)) {
-    result.fault = fault;
-    return result;
-  }
+  const u32 e = entry(vaddr >> kPageShift);
+  result.fault = page_fault(e, vaddr, access);
+  if (result.fault) return result;
   const Addr last = vaddr + len - 1;
   if ((last >> kPageShift) != (vaddr >> kPageShift)) {
-    const auto it2 = pages_.find(last >> kPageShift);
-    if (it2 == pages_.end()) {
-      result.fault = MemFault{FaultKind::kUnmapped, last, access};
-      return result;
-    }
-    if (auto fault = perm_fault(it2->second.perms, last, access)) {
-      result.fault = fault;
-      return result;
-    }
+    const u32 e2 = entry(last >> kPageShift);
+    result.fault = page_fault(e2, last, access);
+    if (result.fault) return result;
     // Split accesses across non-contiguous frames are not needed by either
     // simulated kernel; require physical contiguity for simplicity.
-    KFI_CHECK(it2->second.pfn == it->second.pfn + 1,
+    KFI_CHECK((e2 >> kPageShift) == (e >> kPageShift) + 1,
               "page-crossing access to non-adjacent frames");
   }
-  result.phys = (it->second.pfn << kPageShift) | (vaddr & (kPageSize - 1));
+  result.phys = (e & ~kPageMask) | (vaddr & kPageMask);
   return result;
 }
 
-bool Mmu::is_mapped(Addr vaddr) const {
-  return pages_.contains(vaddr >> kPageShift);
-}
-
 std::optional<PagePerms> Mmu::perms_of(Addr vaddr) const {
-  const auto it = pages_.find(vaddr >> kPageShift);
-  if (it == pages_.end()) return std::nullopt;
-  return it->second.perms;
+  const u32 e = entry(vaddr >> kPageShift);
+  if ((e & kValid) == 0) return std::nullopt;
+  return PagePerms{.read = (e & kRead) != 0,
+                   .write = (e & kWrite) != 0,
+                   .execute = (e & kExecute) != 0,
+                   .bus = (e & kBus) != 0};
 }
 
 }  // namespace kfi::mem

@@ -26,7 +26,8 @@ RiscfCpu::~RiscfCpu() = default;
 
 isa::SystemRegisterBank& RiscfCpu::sysregs() { return *sysregs_; }
 
-void RiscfCpu::raise(Cause cause, Addr addr, bool has_addr, u32 aux) {
+isa::Trap RiscfCpu::make_trap(Cause cause, Addr addr, bool has_addr,
+                              u32 aux) {
   isa::Trap trap;
   trap.cause = static_cast<u32>(cause);
   trap.pc = regs_.pc;
@@ -44,7 +45,16 @@ void RiscfCpu::raise(Cause cause, Addr addr, bool has_addr, u32 aux) {
   if (cause == Cause::kMachineCheck && (regs_.msr & kMsrME) == 0) {
     trap.aux = 1;
   }
-  throw TrapException{trap};
+  return trap;
+}
+
+void RiscfCpu::raise(Cause cause, Addr addr, bool has_addr, u32 aux) {
+  throw TrapException{make_trap(cause, addr, has_addr, aux)};
+}
+
+void RiscfCpu::deliver(Cause cause, Addr addr, bool has_addr, u32 aux) {
+  pending_trap_ = make_trap(cause, addr, has_addr, aux);
+  trap_pending_ = true;
 }
 
 void RiscfCpu::check_alignment(Addr ea, u8 width) {
@@ -59,57 +69,65 @@ void RiscfCpu::check_alignment(Addr ea, u8 width) {
 u32 RiscfCpu::read_mem(Addr addr, u8 width) {
   if ((regs_.msr & kMsrDR) == 0) raise(Cause::kMachineCheck, addr, true);
   check_alignment(addr, width);
-  const auto tr = space_.translate(addr, width, mem::Access::kRead);
-  if (!tr.ok()) {
-    if (tr.fault->kind == mem::FaultKind::kBusRegion) {
-      raise(Cause::kMachineCheck, addr, true);
+  u32 phys = 0;
+  if (!space_.try_translate(addr, width, mem::Access::kRead, &phys)) {
+    const auto tr = space_.translate(addr, width, mem::Access::kRead);
+    if (!tr.ok()) {
+      if (tr.fault->kind == mem::FaultKind::kBusRegion) {
+        raise(Cause::kMachineCheck, addr, true);
+      }
+      raise(Cause::kDataStorage, addr, true);
     }
-    raise(Cause::kDataStorage, addr, true);
+    phys = tr.phys;
   }
   cycles_ += 2;
   u32 value = 0;
   switch (width) {
-    case 1: value = space_.phys().read8(tr.phys); break;
-    case 2: value = space_.phys().read16(tr.phys, mem::Endian::kBig); break;
-    case 4: value = space_.phys().read32(tr.phys, mem::Endian::kBig); break;
+    case 1: value = space_.phys().read8(phys); break;
+    case 2: value = space_.phys().read16(phys, mem::Endian::kBig); break;
+    case 4: value = space_.phys().read32(phys, mem::Endian::kBig); break;
     default: KFI_CHECK(false, "bad width");
   }
   if (current_result_ != nullptr && debug_.data_bp_any()) {
     debug_.record_access(addr, width, /*is_write=*/false, *current_result_);
   }
-  if (sink_ != nullptr) sink_->on_mem_read(addr, tr.phys, width);
+  if (sink_ != nullptr) sink_->on_mem_read(addr, phys, width);
   return value;
 }
 
 void RiscfCpu::write_mem(Addr addr, u8 width, u32 value) {
   if ((regs_.msr & kMsrDR) == 0) raise(Cause::kMachineCheck, addr, true);
   check_alignment(addr, width);
-  const auto tr = space_.translate(addr, width, mem::Access::kWrite);
-  if (!tr.ok()) {
-    switch (tr.fault->kind) {
-      case mem::FaultKind::kBusRegion:
-        raise(Cause::kMachineCheck, addr, true);
-      case mem::FaultKind::kNoWrite:
-        // Store to a protected page: the paper's Table 4 "bus error
-        // (protection fault)" category.
-        raise(Cause::kProtection, addr, true);
-      default:
-        raise(Cause::kDataStorage, addr, true);
+  u32 phys = 0;
+  if (!space_.try_translate(addr, width, mem::Access::kWrite, &phys)) {
+    const auto tr = space_.translate(addr, width, mem::Access::kWrite);
+    if (!tr.ok()) {
+      switch (tr.fault->kind) {
+        case mem::FaultKind::kBusRegion:
+          raise(Cause::kMachineCheck, addr, true);
+        case mem::FaultKind::kNoWrite:
+          // Store to a protected page: the paper's Table 4 "bus error
+          // (protection fault)" category.
+          raise(Cause::kProtection, addr, true);
+        default:
+          raise(Cause::kDataStorage, addr, true);
+      }
     }
+    phys = tr.phys;
   }
   cycles_ += 2;
   switch (width) {
-    case 1: space_.phys().write8(tr.phys, static_cast<u8>(value)); break;
+    case 1: space_.phys().write8(phys, static_cast<u8>(value)); break;
     case 2:
-      space_.phys().write16(tr.phys, static_cast<u16>(value), mem::Endian::kBig);
+      space_.phys().write16(phys, static_cast<u16>(value), mem::Endian::kBig);
       break;
-    case 4: space_.phys().write32(tr.phys, value, mem::Endian::kBig); break;
+    case 4: space_.phys().write32(phys, value, mem::Endian::kBig); break;
     default: KFI_CHECK(false, "bad width");
   }
   if (current_result_ != nullptr && debug_.data_bp_any()) {
     debug_.record_access(addr, width, /*is_write=*/true, *current_result_);
   }
-  if (sink_ != nullptr) sink_->on_mem_write(addr, tr.phys, width);
+  if (sink_ != nullptr) sink_->on_mem_write(addr, phys, width);
 }
 
 void RiscfCpu::set_cr_field(u8 field, u32 bits4) {
@@ -304,7 +322,7 @@ isa::StepResult RiscfCpu::step() {
       trace_reads(insn);
     }
     execute(insn);
-    if (sink_ != nullptr) trace_writes(insn);
+    if (!take_pending_trap(result) && sink_ != nullptr) trace_writes(insn);
     cycles_ += 1;
   } catch (const TrapException& te) {
     result.status = isa::StepStatus::kTrap;
@@ -475,10 +493,12 @@ struct RiscfOps {
     }
     c.regs_.pc = next;
   }
-  [[noreturn]] static void sc(RiscfCpu& c, const Insn& insn) {
+  static void sc(RiscfCpu& c, const Insn& insn) {
     (void)insn;
     c.regs_.pc += 4;
-    c.raise(Cause::kSyscall);
+    // The trap is the instruction's last act, so it is delivered, not
+    // thrown: no C++ unwinding on the syscall path.
+    c.deliver(Cause::kSyscall);
   }
   static void add(RiscfCpu& c, const Insn& insn) {
     c.regs_.gpr[insn.rt] = c.regs_.gpr[insn.ra] + c.regs_.gpr[insn.rb];
@@ -1031,12 +1051,16 @@ isa::StepResult RiscfCpu::step_block(const isa::BlockLimits& limits,
   // trap, both of which end the block, so checking at dispatch is exact;
   // non-branch instructions advance the pc by 4, keeping it aligned.
   if ((regs_.msr & kMsrIR) == 0 || (regs_.pc & 3) != 0) return step();
-  const auto tr = space_.translate(regs_.pc, 4, mem::Access::kExecute);
-  if (!tr.ok()) return step();
+  // An aligned word fetch never crosses a page, so the fast path fails
+  // only when the pc is unfetchable.
+  u32 phys0 = 0;
+  if (!space_.try_translate(regs_.pc, 4, mem::Access::kExecute, &phys0)) {
+    return step();
+  }
   mem::PhysicalMemory& pm = space_.phys();
-  Superblock& blk = sblocks_[(tr.phys >> 2) & (kSuperblockEntries - 1)];
+  Superblock& blk = sblocks_[(phys0 >> 2) & (kSuperblockEntries - 1)];
   bool hit = false;
-  if (blk.tag == tr.phys && blk.vpc == regs_.pc) {
+  if (blk.tag == phys0 && blk.vpc == regs_.pc) {
     if (blk.ver == pm.page_version(blk.page)) {
       hit = true;
     } else {
@@ -1047,7 +1071,7 @@ isa::StepResult RiscfCpu::step_block(const isa::BlockLimits& limits,
     ++sb_stats_.hits;
   } else {
     ++sb_stats_.misses;
-    if (!build_block(blk, regs_.pc, tr.phys)) return step();
+    if (!build_block(blk, regs_.pc, phys0)) return step();
   }
   ++sb_stats_.dispatches;
 
@@ -1084,6 +1108,10 @@ isa::StepResult RiscfCpu::step_block(const isa::BlockLimits& limits,
         trace_reads(bi.insn);
       }
       bi.fn(*this, bi.insn);
+      if (take_pending_trap(result)) {
+        cycles_ += 1;
+        break;
+      }
       if (sink_ != nullptr) trace_writes(bi.insn);
       cycles_ += 1;
       ++done;

@@ -128,8 +128,25 @@ class RiscfCpu final : public isa::CpuCore {
   /// cache when enabled.  Reference valid until the next call.
   const Insn& decode_cached(u32 phys);
 
+  /// Traps come in two kinds.  `raise` aborts an instruction midway (a
+  /// storage or alignment fault, a privileged op) by throwing to the
+  /// step()/step_block() catch.  `deliver` is for a trap that is the
+  /// instruction's last act (`sc`): it only records the trap, and
+  /// step()/step_block() report it exactly as the catch would, skipping
+  /// trace_writes likewise.  Both build the trap, with its DAR/DSISR and
+  /// checkstop side effects, through make_trap.
+  isa::Trap make_trap(Cause cause, Addr addr, bool has_addr, u32 aux);
   [[noreturn]] void raise(Cause cause, Addr addr = 0, bool has_addr = false,
                           u32 aux = 0);
+  void deliver(Cause cause, Addr addr = 0, bool has_addr = false, u32 aux = 0);
+  /// Move a delivered trap into `result` (status kTrap); false if none.
+  bool take_pending_trap(isa::StepResult& result) {
+    if (!trap_pending_) return false;
+    trap_pending_ = false;
+    result.status = isa::StepStatus::kTrap;
+    result.trap = pending_trap_;
+    return true;
+  }
   u32 read_mem(Addr addr, u8 width);
   void write_mem(Addr addr, u8 width, u32 value);
   void check_alignment(Addr ea, u8 width);
@@ -171,6 +188,8 @@ class RiscfCpu final : public isa::CpuCore {
   Cycles cycles_ = 0;
   isa::StepResult* current_result_ = nullptr;
   trace::TraceSink* sink_ = nullptr;
+  bool trap_pending_ = false;
+  isa::Trap pending_trap_;
   std::map<u32, u32> spr_storage_;  // inert supervisor SPRs (BATs, PMCs, ...)
   bool dcache_enabled_ = false;
   std::vector<DecodeCacheEntry> dcache_;  // allocated when enabled

@@ -7,6 +7,7 @@
 // superblock-disabled CPU running the identical program.
 #include <gtest/gtest.h>
 
+#include "../trace/event_log.hpp"
 #include "cisca/cpu.hpp"
 #include "cisca/encode.hpp"
 #include "mem/address_space.hpp"
@@ -15,6 +16,7 @@ namespace kfi::cisca {
 namespace {
 
 constexpr Addr kCode = 0x10000;
+constexpr Addr kUnmapped = 0x20000;
 
 struct Rig {
   mem::AddressSpace space{256 * 1024, mem::Endian::kLittle};
@@ -181,6 +183,106 @@ TEST(CiscaSuperblockTest, CycleBoundStopsMidBlock) {
   EXPECT_EQ(consumed, 1u);
   EXPECT_EQ(rig.cpu.regs().gpr[kEax], 1u);
   EXPECT_EQ(rig.cpu.regs().gpr[kEbx], 0u);  // second insn did not run
+}
+
+// --- Trap delivery ----------------------------------------------------------
+
+// `int` delivers its trap as the instruction's last act (no unwinding);
+// a faulting memory access still raises mid-instruction.  Both must reach
+// the machine loop identically through step() and step_block().
+
+/// Five movs with `int vector` inserted before mov number `position` (0:
+/// the int starts a block, 2: it ends a run mid-program, 5: it ends the
+/// straight-line run), then a page fault in the middle of the next block.
+std::vector<u8> trap_program(u8 vector, u32 position) {
+  constexpr u8 kRegs[] = {kEax, kEbx, kEcx, kEdx, kEsi};
+  Asm a(kCode);
+  for (u32 i = 0; i <= 5; ++i) {
+    if (i == position) a.int_(vector);
+    if (i < 5) a.mov_r_imm(kRegs[i], i + 1);
+  }
+  a.mov_r_imm(kEdi, 9);
+  a.mov_r_rm(kEax, MemOperand{.disp = static_cast<i32>(kUnmapped)});
+  a.mov_r_imm(kEdi, 10);
+  a.hlt();
+  return a.finish();
+}
+
+/// Block dispatch and single steps side by side: after each dispatch that
+/// consumed k iterations, k single steps must give the same StepResult,
+/// registers, cycles and trace events.  Execution continues past each
+/// delivered trap (the int already advanced EIP); the page fault ends it.
+void expect_trap_lockstep(u8 vector, u32 position, bool traced) {
+  SCOPED_TRACE(testing::Message() << "vector 0x" << std::hex << int{vector}
+                                  << std::dec << " position " << position
+                                  << (traced ? " traced" : " untraced"));
+  const std::vector<u8> program = trap_program(vector, position);
+  Rig blocked(true), stepped(false);
+  trace::EventLog blog, slog;
+  if (traced) {
+    blocked.cpu.set_trace_sink(&blog);
+    stepped.cpu.set_trace_sink(&slog);
+  }
+  blocked.load(program);
+  stepped.load(program);
+  u32 delivered = 0;
+  for (u32 guard = 0; guard < 100; ++guard) {
+    u64 consumed = 0;
+    const isa::StepResult rb = blocked.cpu.step_block({}, &consumed);
+    ASSERT_GE(consumed, 1u);
+    isa::StepResult rs;
+    for (u64 k = 0; k < consumed; ++k) {
+      rs = stepped.cpu.step();
+      if (k + 1 < consumed) {
+        ASSERT_EQ(rs.status, isa::StepStatus::kOk);
+      }
+    }
+    ASSERT_EQ(rb.status, rs.status) << "dispatch " << guard;
+    ASSERT_EQ(rb.trap.cause, rs.trap.cause) << "dispatch " << guard;
+    ASSERT_EQ(rb.trap.pc, rs.trap.pc) << "dispatch " << guard;
+    ASSERT_EQ(rb.trap.addr, rs.trap.addr) << "dispatch " << guard;
+    ASSERT_EQ(rb.trap.has_addr, rs.trap.has_addr) << "dispatch " << guard;
+    ASSERT_EQ(rb.trap.aux, rs.trap.aux) << "dispatch " << guard;
+    ASSERT_EQ(blocked.cpu.snapshot().words, stepped.cpu.snapshot().words)
+        << "dispatch " << guard;
+    ASSERT_EQ(blocked.cpu.cycles(), stepped.cpu.cycles())
+        << "dispatch " << guard;
+    ASSERT_EQ(blog.events, slog.events) << "dispatch " << guard;
+    if (rb.status == isa::StepStatus::kOk) continue;
+    ASSERT_EQ(rb.status, isa::StepStatus::kTrap);
+    const auto cause = static_cast<Cause>(rb.trap.cause);
+    if (cause == Cause::kPageFault) {
+      EXPECT_EQ(delivered, 1u);
+      EXPECT_EQ(rb.trap.addr, kUnmapped);
+      EXPECT_EQ(blocked.cpu.regs().cr2, kUnmapped);
+      if (traced) {
+        EXPECT_FALSE(blog.events.empty());
+      }
+      return;
+    }
+    ++delivered;
+    // The trap reports the return address, like the old thrown trap.
+    EXPECT_EQ(rb.trap.pc, kCode + 5 * position + 2);  // int imm8: 2 bytes
+    switch (vector) {
+      case 0x80: EXPECT_EQ(cause, Cause::kSyscall); break;
+      case 0x82: EXPECT_EQ(cause, Cause::kKernelPanic); break;
+      case 0x83: EXPECT_EQ(cause, Cause::kSyscallReturn); break;
+      default:
+        EXPECT_EQ(cause, Cause::kGeneralProtection);
+        EXPECT_EQ(rb.trap.aux, vector);
+    }
+  }
+  FAIL() << "did not stop";
+}
+
+TEST(CiscaSuperblockTest, DeliveredAndRaisedTrapsMatchSingleStepping) {
+  for (const u8 vector : {u8{0x80}, u8{0x83}, u8{0x82}, u8{0x41}}) {
+    for (const u32 position : {0u, 2u, 5u}) {
+      for (const bool traced : {false, true}) {
+        expect_trap_lockstep(vector, position, traced);
+      }
+    }
+  }
 }
 
 }  // namespace

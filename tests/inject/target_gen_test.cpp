@@ -270,7 +270,9 @@ TEST_P(TargetGenTest, RateTriggerPreDrawsASortedSchedule) {
     for (size_t i = 0; i < t.sites.size(); ++i) {
       EXPECT_GE(t.sites[i].at_frac, 0.0);
       EXPECT_LT(t.sites[i].at_frac, 1.0);
-      if (i > 0) EXPECT_GE(t.sites[i].at_frac, t.sites[i - 1].at_frac);
+      if (i > 0) {
+        EXPECT_GE(t.sites[i].at_frac, t.sites[i - 1].at_frac);
+      }
     }
   }
   // With lambda=3 per run, multi-event schedules are near-certain.

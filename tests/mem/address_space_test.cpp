@@ -9,8 +9,9 @@ namespace {
 
 TEST(AddressSpaceTest, MapRegionAllocatesFrames) {
   AddressSpace space(64 * 1024, Endian::kLittle);
-  const Region& a = space.map_region("a", 0x10000, 4096, {.read = true});
-  const Region& b = space.map_region("b", 0x20000, 4096, {.read = true});
+  // Copies: a second map_region may reallocate the region table.
+  const Region a = space.map_region("a", 0x10000, 4096, {.read = true});
+  const Region b = space.map_region("b", 0x20000, 4096, {.read = true});
   EXPECT_EQ(a.size, 4096u);
   EXPECT_EQ(b.size, 4096u);
   // Distinct regions get distinct physical frames.

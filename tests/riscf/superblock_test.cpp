@@ -7,6 +7,7 @@
 // superblock-disabled CPU running the identical program.
 #include <gtest/gtest.h>
 
+#include "../trace/event_log.hpp"
 #include "mem/address_space.hpp"
 #include "riscf/cpu.hpp"
 #include "riscf/encode.hpp"
@@ -15,6 +16,7 @@ namespace kfi::riscf {
 namespace {
 
 constexpr Addr kCode = 0x10000;
+constexpr Addr kUnmapped = 0x20000;
 
 struct Rig {
   mem::AddressSpace space{256 * 1024, mem::Endian::kBig};
@@ -184,6 +186,96 @@ TEST(RiscfSuperblockTest, CycleBoundStopsMidBlock) {
   EXPECT_EQ(consumed, 1u);
   EXPECT_EQ(rig.cpu.regs().gpr[3], 1u);
   EXPECT_EQ(rig.cpu.regs().gpr[4], 0u);  // second insn did not run
+}
+
+// --- Trap delivery ----------------------------------------------------------
+
+// `sc` delivers its trap as the instruction's last act (no unwinding, and
+// no trace_writes, like a thrown trap); a faulting load still raises
+// mid-instruction.  Both must reach the machine loop identically through
+// step() and step_block().
+
+/// Five li's with `sc` inserted before li number `position` (0: the sc
+/// starts a block, 2: it ends a run mid-program, 5: it ends the
+/// straight-line run), then a DSI in the middle of the next block.
+std::vector<u8> trap_program(u32 position) {
+  Asm a(kCode);
+  for (u32 i = 0; i <= 5; ++i) {
+    if (i == position) a.sc();
+    if (i < 5) a.li(static_cast<u8>(3 + i), static_cast<i32>(i + 1));
+  }
+  a.li32(8, kUnmapped);
+  a.lwz(9, 0, 8);
+  a.li(10, 1);
+  a.sc();
+  return a.finish();
+}
+
+/// Block dispatch and single steps side by side: after each dispatch that
+/// consumed k iterations, k single steps must give the same StepResult,
+/// registers, cycles and trace events.  Execution continues past the
+/// delivered trap (sc already advanced the pc); the DSI ends it.
+void expect_trap_lockstep(u32 position, bool traced) {
+  SCOPED_TRACE(testing::Message() << "position " << position
+                                  << (traced ? " traced" : " untraced"));
+  const std::vector<u8> program = trap_program(position);
+  Rig blocked(true), stepped(false);
+  trace::EventLog blog, slog;
+  if (traced) {
+    blocked.cpu.set_trace_sink(&blog);
+    stepped.cpu.set_trace_sink(&slog);
+  }
+  blocked.load(program);
+  stepped.load(program);
+  u32 delivered = 0;
+  for (u32 guard = 0; guard < 100; ++guard) {
+    u64 consumed = 0;
+    const isa::StepResult rb = blocked.cpu.step_block({}, &consumed);
+    ASSERT_GE(consumed, 1u);
+    isa::StepResult rs;
+    for (u64 k = 0; k < consumed; ++k) {
+      rs = stepped.cpu.step();
+      if (k + 1 < consumed) {
+        ASSERT_EQ(rs.status, isa::StepStatus::kOk);
+      }
+    }
+    ASSERT_EQ(rb.status, rs.status) << "dispatch " << guard;
+    ASSERT_EQ(rb.trap.cause, rs.trap.cause) << "dispatch " << guard;
+    ASSERT_EQ(rb.trap.pc, rs.trap.pc) << "dispatch " << guard;
+    ASSERT_EQ(rb.trap.addr, rs.trap.addr) << "dispatch " << guard;
+    ASSERT_EQ(rb.trap.has_addr, rs.trap.has_addr) << "dispatch " << guard;
+    ASSERT_EQ(rb.trap.aux, rs.trap.aux) << "dispatch " << guard;
+    ASSERT_EQ(blocked.cpu.snapshot().words, stepped.cpu.snapshot().words)
+        << "dispatch " << guard;
+    ASSERT_EQ(blocked.cpu.cycles(), stepped.cpu.cycles())
+        << "dispatch " << guard;
+    ASSERT_EQ(blog.events, slog.events) << "dispatch " << guard;
+    if (rb.status == isa::StepStatus::kOk) continue;
+    ASSERT_EQ(rb.status, isa::StepStatus::kTrap);
+    const auto cause = static_cast<Cause>(rb.trap.cause);
+    if (cause == Cause::kDataStorage) {
+      EXPECT_EQ(delivered, 1u);
+      EXPECT_EQ(rb.trap.addr, kUnmapped);
+      EXPECT_EQ(blocked.cpu.regs().dar, kUnmapped);
+      if (traced) {
+        EXPECT_FALSE(blog.events.empty());
+      }
+      return;
+    }
+    ++delivered;
+    EXPECT_EQ(cause, Cause::kSyscall);
+    // The trap reports the return address, like the old thrown trap.
+    EXPECT_EQ(rb.trap.pc, kCode + 4 * position + 4);
+  }
+  FAIL() << "did not stop";
+}
+
+TEST(RiscfSuperblockTest, DeliveredAndRaisedTrapsMatchSingleStepping) {
+  for (const u32 position : {0u, 2u, 5u}) {
+    for (const bool traced : {false, true}) {
+      expect_trap_lockstep(position, traced);
+    }
+  }
 }
 
 }  // namespace
