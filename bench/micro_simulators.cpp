@@ -109,15 +109,14 @@ BENCHMARK(BM_FullInjectionExperiment)
 void BM_RawInstructionRate(benchmark::State& state) {
   // Pure interpreter speed: run the hot read syscall and count simulated
   // instructions per wall second via cycle deltas (cycles ~ instructions
-  // within a few percent for this code).  arg1 toggles the predecoded-
-  // instruction cache and arg2 toggles superblock (multi-instruction
-  // trace) execution; {dcache=1, sb=0} is the pre-superblock fast path,
-  // so sb=1 vs sb=0 at dcache=1 is the superblock speedup.  Superblock
-  // runs report hit rate, mean block length, and blocks invalidated
-  // (non-zero = restores/stores touched cached code and were caught).
+  // within a few percent for this code).  arg1 toggles superblock
+  // (multi-instruction trace) execution; sb=0 single-steps through the
+  // uncached decoder, so sb=1 vs sb=0 is the superblock speedup.
+  // Superblock runs report hit rate, mean block length, blocks
+  // invalidated (non-zero = restores/stores touched cached code and were
+  // caught), and the single steps left over (page-end fallbacks).
   kernel::MachineOptions opts;
-  opts.decode_cache = state.range(1) != 0;
-  opts.superblock = state.range(2) != 0;
+  opts.superblock = state.range(1) != 0;
   kernel::Machine machine(arch_of(state), opts);
   u64 cycles = 0;
   for (auto _ : state) {
@@ -132,23 +131,19 @@ void BM_RawInstructionRate(benchmark::State& state) {
   }
   state.counters["sim_cycles/s"] = benchmark::Counter(
       static_cast<double>(cycles), benchmark::Counter::kIsRate);
-  const isa::DecodeCacheStats stats = machine.cpu().decode_cache_stats();
-  state.counters["dcache_hit_rate"] = stats.hit_rate();
-  state.counters["dcache_invalidations"] =
-      static_cast<double>(stats.invalidations);
+  state.counters["single_steps"] =
+      static_cast<double>(machine.cpu().decode_cache_stats().misses);
   const isa::SuperblockStats sb = machine.cpu().superblock_stats();
   state.counters["sb_hit_rate"] = sb.hit_rate();
   state.counters["sb_mean_block_len"] = sb.mean_block_len();
   state.counters["sb_invalidated"] = static_cast<double>(sb.invalidations);
 }
 BENCHMARK(BM_RawInstructionRate)
-    ->Args({0, 1, 1})
-    ->Args({1, 1, 1})
-    ->Args({0, 1, 0})
-    ->Args({1, 1, 0})
-    ->Args({0, 0, 0})
-    ->Args({1, 0, 0})
-    ->ArgNames({"arch", "dcache", "sb"});
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->ArgNames({"arch", "sb"});
 
 }  // namespace
 

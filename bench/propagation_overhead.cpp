@@ -1,23 +1,29 @@
 // Propagation-tracing cost gate: the trace subsystem must be free when
 // off and strictly observational when on.
 //
-// One frozen CampaignPlan per arch, executed three ways: tracing off
-// (twice) and tracing on.  Gates, per arch:
-//   1. All three merged results fingerprint bit-identically — tracing can
-//      never change an outcome (the observational contract).
-//   2. The two tracing-off runs agree in step rate within the tolerance
-//      (default 2%): with no sink attached every hook is one predictable
-//      null check, so any systematic cost would show up here against the
-//      run-to-run noise floor.
+// One frozen CampaignPlan per arch, executed as two tracing-off series
+// (A and B) and one tracing-on series, KFI_REPS runs each, interleaved.
+// Gates, per arch:
+//   1. Every run fingerprints bit-identically — tracing can never change
+//      an outcome (the observational contract).
+//   2. The medians of the two tracing-off series agree in step rate within
+//      the tolerance (default 2%): with no sink attached every hook is one
+//      predictable null check, so any systematic cost would show up here
+//      against the run-to-run noise floor.  Each round runs A, B and the
+//      traced run, with A and B swapping places every round (A B on,
+//      B A on, ...), so host drift moves both series alike, and medians
+//      discard the runs a busy host slowed down.
 // The tracing-on overhead (shadow-state bookkeeping) is measured and
 // reported, not gated — it is the price of the propagation study, paid
 // only when --trace is requested.
 //
-// Knobs: KFI_INJECTIONS (default 96), KFI_SEED, KFI_JOBS, KFI_REPS,
-//        KFI_OFF_TOLERANCE_PCT (default 2).
+// Knobs: KFI_INJECTIONS (default 96), KFI_SEED, KFI_JOBS, KFI_REPS
+//        (default 7), KFI_OFF_TOLERANCE_PCT (default 2).
+#include <algorithm>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 
@@ -39,17 +45,10 @@ Timed run_variant(const inject::CampaignPlan& plan, u32 jobs, bool trace) {
                result.throughput.simulated_cycles_per_second()};
 }
 
-/// Best-of-`reps` rate (and the fingerprint, identical across reps by the
-/// determinism contract): scheduler hiccups only ever slow a run down, so
-/// the max rate is the stable estimator.
-Timed run_best(const inject::CampaignPlan& plan, u32 jobs, bool trace,
-               u32 reps) {
-  Timed best = run_variant(plan, jobs, trace);
-  for (u32 i = 1; i < reps; ++i) {
-    const Timed t = run_variant(plan, jobs, trace);
-    if (t.rate > best.rate) best.rate = t.rate;
-  }
-  return best;
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t mid = v.size() / 2;
+  return v.size() % 2 == 1 ? v[mid] : (v[mid - 1] + v[mid]) / 2.0;
 }
 
 }  // namespace
@@ -65,36 +64,49 @@ int main() {
     auto spec = bench::base_spec(arch, inject::CampaignKind::kStack, n);
     const inject::CampaignPlan plan = inject::build_campaign_plan(spec);
 
-    // Untimed warm-up: the first campaign on a plan pays one-off costs
-    // (allocator growth, page-cache population) that would otherwise bias
-    // the first timed off run.
-    run_variant(plan, jobs, false);
+    // Untimed warm-up, which also gives the reference fingerprint: the
+    // first campaign on a plan pays one-off costs (allocator growth,
+    // page-cache population) that would otherwise bias the first timed
+    // off run.
+    const u64 want = run_variant(plan, jobs, false).fingerprint;
 
-    const u32 reps = bench::env_u32("KFI_REPS", 2);
-    const Timed off_a = run_best(plan, jobs, false, reps);
-    const Timed off_b = run_best(plan, jobs, false, reps);
-    const Timed on = run_best(plan, jobs, true, reps);
+    const u32 reps = std::max<u32>(1, bench::env_u32("KFI_REPS", 7));
+    std::vector<double> off_a, off_b, on;
+    bool same = true;
+    auto run = [&](std::vector<double>& series, bool trace) {
+      const Timed t = run_variant(plan, jobs, trace);
+      same = same && t.fingerprint == want;
+      series.push_back(t.rate);
+    };
+    for (u32 i = 0; i < reps; ++i) {
+      std::vector<double>& first = i % 2 == 0 ? off_a : off_b;
+      std::vector<double>& second = i % 2 == 0 ? off_b : off_a;
+      run(first, false);
+      run(second, false);
+      run(on, true);
+    }
 
-    const double off_rate = std::max(off_a.rate, off_b.rate);
+    const double med_a = median(off_a);
+    const double med_b = median(off_b);
+    const double off_rate = std::max(med_a, med_b);
     const double off_delta =
-        off_rate > 0.0 ? std::abs(off_a.rate - off_b.rate) / off_rate : 0.0;
+        off_rate > 0.0 ? std::abs(med_a - med_b) / off_rate : 0.0;
+    const double on_rate = median(on);
     const double on_overhead =
-        on.rate > 0.0 ? off_rate / on.rate - 1.0 : 0.0;
+        on_rate > 0.0 ? off_rate / on_rate - 1.0 : 0.0;
 
     std::printf(
-        "%s n=%u jobs=%u: off %.2f / %.2f Mcyc/s (delta %.2f%%), "
-        "on %.2f Mcyc/s (overhead %.1f%%)\n",
-        isa::arch_name(arch).c_str(), plan.spec.injections, jobs,
-        off_a.rate / 1e6, off_b.rate / 1e6, off_delta * 100.0, on.rate / 1e6,
+        "%s n=%u jobs=%u reps=%u: off median %.2f / %.2f Mcyc/s "
+        "(delta %.2f%%), on median %.2f Mcyc/s (overhead %.1f%%)\n",
+        isa::arch_name(arch).c_str(), plan.spec.injections, jobs, reps,
+        med_a / 1e6, med_b / 1e6, off_delta * 100.0, on_rate / 1e6,
         on_overhead * 100.0);
 
-    if (off_a.fingerprint != off_b.fingerprint ||
-        off_a.fingerprint != on.fingerprint) {
+    if (!same) {
       std::fprintf(stderr,
-                   "FATAL: %s results diverge with tracing "
-                   "(off %" PRIx64 "/%" PRIx64 " vs on %" PRIx64 ")\n",
-                   isa::arch_name(arch).c_str(), off_a.fingerprint,
-                   off_b.fingerprint, on.fingerprint);
+                   "FATAL: %s results diverge with tracing (want %" PRIx64
+                   ")\n",
+                   isa::arch_name(arch).c_str(), want);
       ok = false;
     }
     if (off_delta > tolerance) {

@@ -93,16 +93,6 @@ FetchWindow CiscaCpu::fetch_window(Addr pc) const {
   return window;
 }
 
-void CiscaCpu::set_decode_cache_enabled(bool enabled) {
-  dcache_enabled_ = enabled;
-  if (enabled && dcache_.empty()) {
-    dcache_.resize(kDecodeCacheEntries);
-  } else if (!enabled) {
-    dcache_.clear();
-    dcache_.shrink_to_fit();
-  }
-}
-
 void CiscaCpu::set_superblocks_enabled(bool enabled) {
   sblocks_enabled_ = enabled;
   if (enabled && sblocks_.empty()) {
@@ -111,52 +101,6 @@ void CiscaCpu::set_superblocks_enabled(bool enabled) {
     sblocks_.clear();
     sblocks_.shrink_to_fit();
   }
-}
-
-const CiscaCpu::DecodeCacheEntry& CiscaCpu::decode_cached(Addr pc) {
-  if (!dcache_enabled_) {
-    const FetchWindow window = fetch_window(pc);
-    dcache_scratch_.tag = window.phys;
-    dcache_scratch_.page2 = window.phys_page2;
-    dcache_scratch_.dec = decode(window);
-    dcache_scratch_.byte0 = window.bytes[0];
-    return dcache_scratch_;
-  }
-  // One translation either way; on a hit it also revalidates that pc is
-  // still fetchable under the current (boot-time) mapping.
-  u32 phys = 0;
-  if (!space_.try_translate(pc, 1, mem::Access::kExecute, &phys)) {
-    FetchWindow window;  // empty: decode reports a fetch fault at pc
-    window.pc = pc;
-    dcache_scratch_.tag = kNoPage;
-    dcache_scratch_.page2 = kNoPage;
-    dcache_scratch_.dec = decode(window);
-    dcache_scratch_.byte0 = 0;
-    return dcache_scratch_;
-  }
-  const mem::PhysicalMemory& pm = space_.phys();
-  DecodeCacheEntry& entry = dcache_[phys & (kDecodeCacheEntries - 1)];
-  if (entry.tag == phys && entry.vpc == pc) {
-    const bool fresh =
-        entry.ver1 == pm.page_version(phys >> mem::kPageShift) &&
-        (entry.page2 == kNoPage ||
-         entry.ver2 == pm.page_version(entry.page2));
-    if (fresh) {
-      ++dcache_stats_.hits;
-      return entry;
-    }
-    ++dcache_stats_.invalidations;
-  }
-  ++dcache_stats_.misses;
-  const FetchWindow window = fetch_window(pc);
-  entry.tag = phys;
-  entry.vpc = pc;
-  entry.page2 = window.phys_page2;
-  entry.ver1 = pm.page_version(phys >> mem::kPageShift);
-  entry.ver2 = entry.page2 == kNoPage ? 0 : pm.page_version(entry.page2);
-  entry.dec = decode(window);
-  entry.byte0 = window.bytes[0];
-  return entry;
 }
 
 DecodeResult CiscaCpu::decode_at(Addr pc) const {
@@ -411,24 +355,28 @@ isa::StepResult CiscaCpu::step() {
     if (!test_bit(regs_.cr0, kCr0PE) || !test_bit(regs_.cr0, kCr0PG)) {
       raise(Cause::kGeneralProtection, 0, false, regs_.cr0);
     }
-    const DecodeCacheEntry& entry = decode_cached(regs_.eip);
-    const DecodeResult& dec = entry.dec;
+    // The uncached reference: fetch and decode the current bytes, so a
+    // corrupted or rewritten instruction takes effect at its next fetch.
+    const FetchWindow window = fetch_window(regs_.eip);
+    const DecodeResult dec = decode(window);
     if (dec.fetch_fault) {
       raise(Cause::kPageFault, dec.fault_addr, true);
     }
+    ++decode_stats_.misses;
     if (dec.insn.op == Op::kInvalid) {
-      raise(Cause::kInvalidOpcode, 0, false, entry.byte0);
+      raise(Cause::kInvalidOpcode, 0, false, window.bytes[0]);
     }
     if (sink_ != nullptr) {
       // Variable-length fetch: split the byte span across the (up to two)
       // physical pages so injected code bytes are seen wherever they live.
       const u32 len = dec.insn.length;
-      const u32 in_page = mem::kPageSize - (entry.tag & (mem::kPageSize - 1));
+      const u32 in_page =
+          mem::kPageSize - (window.phys & (mem::kPageSize - 1));
       const u32 len1 = std::min(len, in_page);
-      const u32 phys2 = (len1 < len && entry.page2 != kNoPage)
-                            ? (entry.page2 << mem::kPageShift)
+      const u32 phys2 = (len1 < len && window.phys_page2 != kNoPage)
+                            ? (window.phys_page2 << mem::kPageShift)
                             : 0;
-      sink_->on_insn_fetch(kSlotEip, regs_.eip, entry.tag, len1, phys2,
+      sink_->on_insn_fetch(kSlotEip, regs_.eip, window.phys, len1, phys2,
                            phys2 != 0 ? len - len1 : 0);
     }
     execute(dec.insn);
@@ -1260,8 +1208,8 @@ bool CiscaCpu::build_block(Superblock& blk, Addr vpc, u32 phys0) {
     pm.read_bytes(phys, window.bytes, kMaxInsnBytes);
     window.valid = kMaxInsnBytes;
     const DecodeResult dec = decode(window);
-    // Invalid encodings single-step: the #UD aux byte comes from the
-    // decode-cache entry there.
+    // Invalid encodings single-step: step() raises the #UD with its aux
+    // byte.
     if (dec.fetch_fault || dec.insn.op == Op::kInvalid) break;
     blk.insns.push_back(
         {dec.insn, op_table()[static_cast<size_t>(dec.insn.op)], phys});

@@ -8,7 +8,7 @@ namespace kfi::fabric {
 
 namespace {
 
-constexpr u8 kSpecVersion = 1;
+constexpr u8 kSpecVersion = 2;
 
 
 /// Every plan-relevant CampaignSpec field, in wire order.
@@ -30,7 +30,6 @@ void spec_fields(IO& io, Spec& spec) {
   io(m.p4_stack_limit_check);
   io(m.spinlock_debug);
   io(m.seed);
-  io(m.decode_cache);
   io(m.fast_reboot);
   io(m.superblock);
   io(m.cow_memory);

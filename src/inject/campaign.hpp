@@ -48,7 +48,7 @@ std::vector<InjectionRecord> completed_records(const CampaignResult& result);
 /// FNV-1a over every determinism-relevant field of a merged campaign
 /// result.  Two results with equal fingerprints ran bit-identically; the
 /// scaling bench, the fast-path cross-check, and CI all compare campaigns
-/// through this one function (jobs counts, decode cache on/off, fast vs
+/// through this one function (jobs counts, superblocks on/off, fast vs
 /// full-copy reboot).
 u64 result_fingerprint(const CampaignResult& result);
 

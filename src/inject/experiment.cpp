@@ -28,9 +28,33 @@ ExperimentRunner::ExperimentRunner(kernel::Machine& machine,
       budget_cycles_(budget_cycles),
       kernel_fraction_(kernel_fraction) {}
 
-void ExperimentRunner::reboot() {
-  machine_.restore(machine_.boot_snapshot());
+u64 ExperimentRunner::begin_run(u64 run_seed) {
+  machine_.restore(machine_.boot_snapshot());  // fresh boot state
   ++reboots_;
+  wl_.reset(run_seed);
+  rng_ = Rng(run_seed ^ 0xC0117E47u);  // per-run decisions (context window)
+  channel_.begin_run(run_seed);  // per-run loss decisions (determinism)
+  if (taint_ != nullptr) taint_->reset();  // fresh shadow state too
+  return machine_.cpu().cycles();
+}
+
+void ExperimentRunner::deposit_crash(InjectionRecord& record, u32 sequence) {
+  kernel::CrashReport wire = record.crash;
+  wire.cycles_to_crash = record.cycles_to_crash;
+  channel_.send(DataDeposit::serialize(sequence, wire));
+  collector_.poll(channel_);
+  record.crash_report_received = collector_.has(sequence);
+  record.outcome = record.crash_report_received
+                       ? OutcomeCategory::kKnownCrash
+                       : OutcomeCategory::kHangOrUnknownCrash;
+}
+
+void ExperimentRunner::end_run(InjectionRecord& record, u64 start) {
+  simulated_cycles_ += machine_.cpu().cycles() - start;
+  if (taint_ != nullptr) {
+    record.propagation = taint_->finalize();
+    record.propagation_valid = true;
+  }
 }
 
 void ExperimentRunner::seed_taint_byte(Addr va) {
@@ -134,7 +158,7 @@ bool ExperimentRunner::apply_rate_site(const InjectionTarget& target,
   switch (target.kind) {
     case CampaignKind::kCode:
       // Corrupt the instruction in place; the page write-version bump
-      // invalidates any predecoded cache line covering it.
+      // invalidates any superblock covering it.
       flip_code_site(site);
       return true;
     case CampaignKind::kData:
@@ -178,12 +202,7 @@ InjectionRecord ExperimentRunner::run_errno(const InjectionTarget& target,
             "errno campaign run without an attached ErrnoInjector");
   InjectionRecord record;
   record.target = target;
-
-  reboot();  // fresh boot state for every experiment
-  wl_.reset(run_seed);
-  rng_ = Rng(run_seed ^ 0xC0117E47u);  // parity with the physical path
-  channel_.begin_run(run_seed);
-  if (taint_ != nullptr) taint_->reset();
+  const u64 start = begin_run(run_seed);
 
   // The frozen per-run schedule: one ScheduledError per site (the plan
   // stored the invocation index in site.task and the forced return in
@@ -199,7 +218,6 @@ InjectionRecord ExperimentRunner::run_errno(const InjectionTarget& target,
   errno_injector_->arm(std::move(schedule));
 
   isa::CpuCore& cpu = machine_.cpu();
-  const u64 start = cpu.cycles();
   const u64 budget_end = start + budget_cycles_;
 
   errnoinj::CascadeTracker tracker;
@@ -288,14 +306,7 @@ InjectionRecord ExperimentRunner::run_errno(const InjectionTarget& target,
 
   // STEP 3: classify and (for crashes) deposit the crash data remotely.
   if (record.crashed) {
-    kernel::CrashReport wire = record.crash;
-    wire.cycles_to_crash = record.cycles_to_crash;
-    channel_.send(DataDeposit::serialize(sequence, wire));
-    collector_.poll(channel_);
-    record.crash_report_received = collector_.has(sequence);
-    record.outcome = record.crash_report_received
-                         ? OutcomeCategory::kKnownCrash
-                         : OutcomeCategory::kHangOrUnknownCrash;
+    deposit_crash(record, sequence);
   } else if (hang) {
     record.outcome = OutcomeCategory::kHangOrUnknownCrash;
   } else if (forced.empty()) {
@@ -307,11 +318,7 @@ InjectionRecord ExperimentRunner::run_errno(const InjectionTarget& target,
   } else {
     record.outcome = OutcomeCategory::kNotManifested;
   }
-  simulated_cycles_ += cpu.cycles() - start;
-  if (taint_ != nullptr) {
-    record.propagation = taint_->finalize();
-    record.propagation_valid = true;
-  }
+  end_run(record, start);
   return record;
 }
 
@@ -322,15 +329,9 @@ InjectionRecord ExperimentRunner::run_one(const InjectionTarget& target,
   }
   InjectionRecord record;
   record.target = target;
-
-  reboot();  // fresh boot state for every experiment
-  wl_.reset(run_seed);
-  rng_ = Rng(run_seed ^ 0xC0117E47u);  // per-run decisions (context window)
-  channel_.begin_run(run_seed);  // per-run loss decisions (determinism)
-  if (taint_ != nullptr) taint_->reset();  // fresh shadow state too
+  const u64 start = begin_run(run_seed);
 
   isa::CpuCore& cpu = machine_.cpu();
-  const u64 start = cpu.cycles();
   const u64 budget_end = start + budget_cycles_;
 
   // Rate trigger: the plan pre-drew a Poisson event schedule into the
@@ -538,14 +539,7 @@ InjectionRecord ExperimentRunner::run_one(const InjectionTarget& target,
 
   // STEP 3: classify and (for crashes) deposit the crash data remotely.
   if (record.crashed) {
-    kernel::CrashReport wire = record.crash;
-    wire.cycles_to_crash = record.cycles_to_crash;
-    channel_.send(DataDeposit::serialize(sequence, wire));
-    collector_.poll(channel_);
-    record.crash_report_received = collector_.has(sequence);
-    record.outcome = record.crash_report_received
-                         ? OutcomeCategory::kKnownCrash
-                         : OutcomeCategory::kHangOrUnknownCrash;
+    deposit_crash(record, sequence);
   } else if (hang) {
     record.activated = record.activated || !record.activation_known;
     record.outcome = OutcomeCategory::kHangOrUnknownCrash;
@@ -576,11 +570,7 @@ InjectionRecord ExperimentRunner::run_one(const InjectionTarget& target,
   }
   if (monitoring) cpu.debug().disarm_data_bp(0);
   cpu.debug().disarm_insn_bp();
-  simulated_cycles_ += cpu.cycles() - start;
-  if (taint_ != nullptr) {
-    record.propagation = taint_->finalize();
-    record.propagation_valid = true;
-  }
+  end_run(record, start);
   return record;
 }
 

@@ -84,8 +84,17 @@ class ExperimentRunner {
   u64 simulated_cycles() const { return simulated_cycles_; }
 
  private:
-  /// Restore the boot snapshot ("reboot") before an experiment.
-  void reboot();
+  /// Every protocol's run prologue: restore the boot snapshot ("reboot"),
+  /// reseed the workload, the per-run rng and the channel's loss draws,
+  /// and clear the taint shadow.  Returns the cycle the run starts at.
+  u64 begin_run(u64 run_seed);
+  /// STEP 3 for a crashed run: deposit the crash data on the channel and
+  /// classify it a known crash if the datagram arrived, else a hang or
+  /// unknown crash.
+  void deposit_crash(InjectionRecord& record, u32 sequence);
+  /// Every protocol's run epilogue: charge the run's simulated cycles and
+  /// finalize its propagation summary (when a taint engine is attached).
+  void end_run(InjectionRecord& record, u64 start);
   /// Flip bit `bit` (0..31) of the 32-bit value at word_addr, respecting
   /// the machine's endianness; seeds the taint engine (when attached) at
   /// the flipped byte.
@@ -95,7 +104,7 @@ class ExperimentRunner {
   void flip_value_bits(Addr word_addr, const std::vector<u32>& bits);
   /// Flip one code site (cisca: the instruction's byte stream in memory
   /// order; riscf: the 32-bit word).  Any write path bumps the page write
-  /// version, so predecoded instruction caches invalidate automatically.
+  /// version, so cached superblocks invalidate automatically.
   void flip_code_site(const FaultSite& site);
   /// Mark the byte at `va` as the taint seed (no-op without an engine).
   void seed_taint_byte(Addr va);

@@ -88,8 +88,8 @@ kernel::MachineOptions campaign_machine_options(const CampaignSpec& spec);
 /// results, and all pre-generated targets and per-run seeds.  The
 /// injection journal stamps this into its header so a resume can refuse a
 /// journal written for a different campaign.  The bit-exact perf knobs
-/// (decode cache, fast reboot) are deliberately excluded: a journal may
-/// be resumed with either setting.
+/// (fast reboot, superblocks, COW) are deliberately excluded: a journal
+/// may be resumed with any setting.
 u64 plan_fingerprint(const CampaignPlan& plan);
 
 }  // namespace kfi::inject

@@ -24,19 +24,12 @@ struct CpuSnapshot {
   u64 cycles = 0;
 };
 
-/// Counters for the per-CPU predecoded-instruction cache.
+/// Single-step decode counters.  step() caches nothing: every instruction
+/// it decodes counts as a miss, and `hits` stays 0, so hits + misses is
+/// the number of instructions executed outside superblocks.
 struct DecodeCacheStats {
   u64 hits = 0;
   u64 misses = 0;
-  /// Tag matched but a page write-version moved: a store / injected flip /
-  /// reboot rewrote cached code and the entry was re-decoded.
-  u64 invalidations = 0;
-
-  double hit_rate() const {
-    const u64 total = hits + misses;
-    return total == 0 ? 0.0 : static_cast<double>(hits) /
-                                  static_cast<double>(total);
-  }
 };
 
 /// Bounds one superblock dispatch so multi-instruction execution can never
@@ -118,12 +111,9 @@ class CpuCore {
     return trace::kNoSlot;
   }
 
-  /// Predecoded-instruction cache control.  The cache is bit-exact — it
-  /// only skips re-decoding bytes proven unchanged via page write
-  /// versions — so toggling it must never alter execution, a property the
-  /// campaign fingerprint cross-checks enforce.  Default: no cache.
-  virtual void set_decode_cache_enabled(bool /*enabled*/) {}
-  virtual bool decode_cache_enabled() const { return false; }
+  /// Decodes performed by step(), which always decodes the current
+  /// bytes from memory: it is the uncached reference that superblock
+  /// execution must match.
   virtual DecodeCacheStats decode_cache_stats() const { return {}; }
 
   /// Execute a superblock: a cached straight-line run of predecoded

@@ -73,7 +73,6 @@ Machine::Machine(isa::Arch arch, MachineOptions options, kir::ImagePtr image)
     riscf_cpu_ = cpu.get();
     cpu_ = std::move(cpu);
   }
-  cpu_->set_decode_cache_enabled(options.decode_cache);
   cpu_->set_superblocks_enabled(options.superblock);
   space_.phys().set_cow_enabled(options.cow_memory);
   entry_map_ = build_entry_map(*image_);
@@ -104,7 +103,6 @@ Machine::Machine(isa::Arch arch, MachineOptions options, kir::ImagePtr image,
     riscf_cpu_ = cpu.get();
     cpu_ = std::move(cpu);
   }
-  cpu_->set_decode_cache_enabled(options.decode_cache);
   cpu_->set_superblocks_enabled(options.superblock);
   space_.phys().set_cow_enabled(options.cow_memory);
   entry_map_ = build_entry_map(*image_);
@@ -732,13 +730,17 @@ Event Machine::run(u64 stop_cycles) {
     maybe_deliver_timer();
     if (fatal_pending_) continue;
 
+    // Function entries are only reached by control transfers (calls,
+    // jumps, glue-set pcs), and every block ends at one, so an entry is
+    // always a block leader: checking once per dispatch counts the same
+    // entries as checking once per step.
     if (profiling_) {
       const auto it = entry_map_.find(cpu_->pc());
       if (it != entry_map_.end()) profile_counts_[it->second] += 1;
     }
 
     isa::StepResult sr;
-    if (options_.superblock && !profiling_) {
+    if (options_.superblock) {
       // One block dispatch stands for up to kMaxBlockInsns iterations of
       // this loop.  The limits reproduce the per-iteration checks above
       // exactly: the cycle bound is the nearest of stop_cycles and the

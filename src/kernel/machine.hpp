@@ -101,19 +101,14 @@ struct MachineOptions {
   bool spinlock_debug = true;
   /// Seed for runtime jitter (user time, exception-stage costs).
   u64 seed = 0x1234;
-  /// Predecoded-instruction cache in the CPU model.  Bit-exact: results
-  /// must not change with this off (the fingerprint cross-check enforces
-  /// it); off is only useful for that cross-check and for measuring the
-  /// speedup.
-  bool decode_cache = true;
   /// Dirty-page snapshot restore.  Also bit-exact; off forces the
   /// O(memory) full-copy restore the cross-check compares against.
   bool fast_reboot = true;
   /// Superblock execution: cache straight-line runs of predecoded
   /// instructions and dispatch them through per-op handler pointers.
-  /// Bit-exact like the decode cache (the fingerprint cross-check
-  /// enforces it); off is only useful for that cross-check and for
-  /// measuring the speedup.
+  /// Bit-exact: off single-steps through the uncached decoder, and results
+  /// must not change (the fingerprint cross-check enforces it); off is
+  /// only useful for that cross-check and for measuring the speedup.
   bool superblock = true;
   /// Copy-on-write page sharing: restores re-point pages at the shared
   /// snapshot instead of copying, so worker machines rebooting from one

@@ -16,9 +16,8 @@
 // glue writes, snapshot restores — funnels through this class:
 //
 //   * Per-page write versions.  Each write bumps a monotonic counter for
-//     the page(s) it touches.  The CPUs' predecoded-instruction and
-//     superblock caches validate entries against these counters, so a
-//     store into cached code (self-modification, an injected flip, a
+//     the page(s) it touches.  The CPUs' superblock caches validate
+//     entries against these counters, so a store into cached code (self-modification, an injected flip, a
 //     reboot) invalidates exactly the stale entries — a correctness
 //     requirement in a framework whose whole point is corrupting code
 //     bytes.

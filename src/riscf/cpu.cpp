@@ -249,16 +249,6 @@ Insn RiscfCpu::decode_at(Addr pc) const {
   return decode(space_.phys().read32(tr.phys, mem::Endian::kBig));
 }
 
-void RiscfCpu::set_decode_cache_enabled(bool enabled) {
-  dcache_enabled_ = enabled;
-  if (enabled && dcache_.empty()) {
-    dcache_.resize(kDecodeCacheEntries);
-  } else if (!enabled) {
-    dcache_.clear();
-    dcache_.shrink_to_fit();
-  }
-}
-
 void RiscfCpu::set_superblocks_enabled(bool enabled) {
   sblocks_enabled_ = enabled;
   if (enabled && sblocks_.empty()) {
@@ -267,28 +257,6 @@ void RiscfCpu::set_superblocks_enabled(bool enabled) {
     sblocks_.clear();
     sblocks_.shrink_to_fit();
   }
-}
-
-const Insn& RiscfCpu::decode_cached(u32 phys) {
-  const mem::PhysicalMemory& pm = space_.phys();
-  if (!dcache_enabled_) {
-    dcache_scratch_ = decode(pm.read32(phys, mem::Endian::kBig));
-    return dcache_scratch_;
-  }
-  DecodeCacheEntry& entry = dcache_[(phys >> 2) & (kDecodeCacheEntries - 1)];
-  const u64 ver = pm.page_version(phys >> mem::kPageShift);
-  if (entry.tag == phys) {
-    if (entry.ver == ver) {
-      ++dcache_stats_.hits;
-      return entry.insn;
-    }
-    ++dcache_stats_.invalidations;
-  }
-  ++dcache_stats_.misses;
-  entry.tag = phys;
-  entry.ver = ver;
-  entry.insn = decode(pm.read32(phys, mem::Endian::kBig));
-  return entry.insn;
 }
 
 isa::StepResult RiscfCpu::step() {
@@ -312,7 +280,10 @@ isa::StepResult RiscfCpu::step() {
       }
       raise(Cause::kInstrStorage, regs_.pc, true);
     }
-    const Insn& insn = decode_cached(tr.phys);
+    // The uncached reference: decode the word as it is now, so a corrupted
+    // or rewritten instruction takes effect at its next fetch.
+    const Insn insn = decode(space_.phys().read32(tr.phys, mem::Endian::kBig));
+    ++decode_stats_.misses;
     if (insn.op == Op::kInvalid) {
       raise(Cause::kIllegalInstruction, 0, false, insn.raw);
     }

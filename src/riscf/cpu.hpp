@@ -48,10 +48,8 @@ class RiscfCpu final : public isa::CpuCore {
   Addr stack_pointer() const override { return regs_.gpr[kSp]; }
   isa::CpuSnapshot snapshot() const override;
   void restore(const isa::CpuSnapshot& snap) override;
-  void set_decode_cache_enabled(bool enabled) override;
-  bool decode_cache_enabled() const override { return dcache_enabled_; }
   isa::DecodeCacheStats decode_cache_stats() const override {
-    return dcache_stats_;
+    return decode_stats_;
   }
   isa::StepResult step_block(const isa::BlockLimits& limits,
                              u64* consumed) override;
@@ -111,22 +109,6 @@ class RiscfCpu final : public isa::CpuCore {
   /// single-step.
   bool build_block(Superblock& blk, Addr vpc, u32 phys0);
   static bool block_terminator(const Insn& insn);
-
-  /// Predecoded-instruction cache: direct-mapped on the physical word
-  /// address (instructions are fixed 32-bit and aligned, so one entry
-  /// covers exactly one word in exactly one page).  Entries are validated
-  /// against the page's write version, so stores, injected flips, and
-  /// reboots into cached code force a re-decode.
-  struct DecodeCacheEntry {
-    u32 tag = 0xFFFFFFFFu;  // physical word address (never valid: unaligned)
-    u64 ver = 0;
-    Insn insn{};
-  };
-  static constexpr u32 kDecodeCacheEntries = 8192;
-
-  /// Fetch + decode the word at physical address `phys`, through the
-  /// cache when enabled.  Reference valid until the next call.
-  const Insn& decode_cached(u32 phys);
 
   /// Traps come in two kinds.  `raise` aborts an instruction midway (a
   /// storage or alignment fault, a privileged op) by throwing to the
@@ -191,10 +173,7 @@ class RiscfCpu final : public isa::CpuCore {
   bool trap_pending_ = false;
   isa::Trap pending_trap_;
   std::map<u32, u32> spr_storage_;  // inert supervisor SPRs (BATs, PMCs, ...)
-  bool dcache_enabled_ = false;
-  std::vector<DecodeCacheEntry> dcache_;  // allocated when enabled
-  Insn dcache_scratch_{};                 // cache-off path
-  isa::DecodeCacheStats dcache_stats_;
+  isa::DecodeCacheStats decode_stats_;  // step() decodes, counted as misses
   bool sblocks_enabled_ = false;
   std::vector<Superblock> sblocks_;  // allocated when enabled
   isa::SuperblockStats sb_stats_;

@@ -1,7 +1,7 @@
 // Functional-unit classification of cisca instructions, checked against
 // hand-assembled encodings run through the real decoder — the same path
 // the target generator uses to classify opclass-targeted code faults.
-// Also proves the predecode cache cannot serve a stale class: corrupting
+// Also proves the superblock cache cannot serve a stale class: corrupting
 // a cached instruction so it migrates between classes re-decodes it.
 #include <gtest/gtest.h>
 
@@ -79,22 +79,30 @@ TEST(CiscaOpClassTest, EveryOpHasAClassBelowNumClasses) {
 TEST(CiscaOpClassTest, CorruptedCachedInsnMigratesClassAndReDecodes) {
   // `mov eax, imm32` (B8, load/store class) with bit 7 of the opcode
   // flipped becomes `cmp r/m8, r8` (38, ALU class).  Once the mov has
-  // executed it sits in the predecode cache tagged with its old bytes;
-  // the injector's flip must invalidate it, or an opclass-targeted
-  // campaign would keep attributing outcomes to the stale class.
+  // executed it sits in a superblock built from its old bytes; the
+  // injector's flip must invalidate it, or an opclass-targeted campaign
+  // would keep attributing outcomes to the stale class.
   constexpr Addr kCode = 0x10000;
   mem::AddressSpace space{64 * 1024, mem::Endian::kLittle};
   CiscaCpu cpu{space};
-  cpu.set_decode_cache_enabled(true);
+  cpu.set_superblocks_enabled(true);
+  const auto run = [&cpu] {
+    u64 consumed = 0;
+    for (int i = 0; i < 8; ++i) {
+      if (cpu.step_block({}, &consumed).status != isa::StepStatus::kOk) {
+        return;
+      }
+    }
+  };
   space.map_region("code", kCode, 4096,
                    {.read = true, .write = true, .execute = true});
   const u8 program[] = {0xB8, 0x01, 0x00, 0x00, 0x00,  // mov eax, 1
                         0xF4};                         // hlt
   space.vwrite_bytes(kCode, program, sizeof(program));
   cpu.set_pc(kCode);
-  for (int i = 0; i < 8 && cpu.step().status == isa::StepStatus::kOk; ++i) {
-  }
+  run();
   ASSERT_EQ(cpu.regs().gpr[kEax], 1u);
+  ASSERT_EQ(cpu.superblock_stats().misses, 1u);  // one block: mov, hlt
 
   space.vflip_bit(kCode, 7);  // B8 -> 38
   FetchWindow w;
@@ -110,10 +118,9 @@ TEST(CiscaOpClassTest, CorruptedCachedInsnMigratesClassAndReDecodes) {
   // Re-execution must go through the corrupted bytes, not the cache.
   cpu.set_pc(kCode);
   cpu.regs().gpr[kEax] = 0;
-  for (int i = 0; i < 8 && cpu.step().status == isa::StepStatus::kOk; ++i) {
-  }
+  run();
   EXPECT_EQ(cpu.regs().gpr[kEax], 0u);  // the mov is gone
-  EXPECT_GE(cpu.decode_cache_stats().invalidations, 1u);
+  EXPECT_GE(cpu.superblock_stats().invalidations, 1u);
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 // fragmentation while refusing corruption loudly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "fabric/codec.hpp"
 #include "fabric/wire.hpp"
 
 namespace kfi::fabric {
@@ -24,7 +27,6 @@ inject::CampaignSpec full_spec() {
   spec.machine.p4_stack_limit_check = true;
   spec.machine.spinlock_debug = false;
   spec.machine.seed = 99;
-  spec.machine.decode_cache = false;
   spec.machine.fast_reboot = false;
   spec.machine.superblock = true;
   spec.machine.cow_memory = false;
@@ -55,7 +57,6 @@ TEST(SpecBlob, RoundTripPreservesEveryField) {
             spec.machine.p4_stack_limit_check);
   EXPECT_EQ(back->machine.spinlock_debug, spec.machine.spinlock_debug);
   EXPECT_EQ(back->machine.seed, spec.machine.seed);
-  EXPECT_EQ(back->machine.decode_cache, spec.machine.decode_cache);
   EXPECT_EQ(back->machine.fast_reboot, spec.machine.fast_reboot);
   EXPECT_EQ(back->machine.superblock, spec.machine.superblock);
   EXPECT_EQ(back->machine.cow_memory, spec.machine.cow_memory);
@@ -95,6 +96,30 @@ TEST(SpecBlob, EveryTruncationAndTrailingByteRejected) {
   std::vector<u8> padded = blob;
   padded.push_back(0);
   EXPECT_FALSE(deserialize_campaign_spec(padded).has_value());
+}
+
+TEST(SpecBlob, VersionOneBlobRefused) {
+  // Version 1 carried one more machine-option byte, right after the
+  // machine seed.  Rebuild that layout from a current blob: a worker must
+  // refuse it rather than read every later field one byte off.
+  inject::CampaignSpec spec = full_spec();
+  spec.machine.seed = 0x5EED5EED5EED5EEDull;
+  const std::vector<u8> blob = serialize_campaign_spec(spec);
+  std::vector<u8> seed;
+  codec::put64(seed, spec.machine.seed);
+  const auto at = std::search(blob.begin(), blob.end(), seed.begin(),
+                              seed.end());
+  ASSERT_NE(at, blob.end());
+  std::vector<u8> v1(blob.begin(), at + 8);
+  v1.push_back(1);  // the removed option, set
+  v1.insert(v1.end(), at + 8, blob.end());
+  v1[0] = 1;
+  EXPECT_FALSE(deserialize_campaign_spec(v1).has_value());
+  // The version byte alone decides: the current layout labelled 1 fails
+  // too.
+  std::vector<u8> relabelled = blob;
+  relabelled[0] = 1;
+  EXPECT_FALSE(deserialize_campaign_spec(relabelled).has_value());
 }
 
 TEST(SpecBlob, CorruptEnumsRejected) {

@@ -1,6 +1,5 @@
-// The perf fast paths' bit-exactness contract: the predecoded-instruction
-// cache, the dirty-page reboot, superblock execution, and copy-on-write
-// page sharing are pure speedups.  For every arch and campaign kind, a
+// The perf fast paths' bit-exactness contract: the dirty-page reboot,
+// superblock execution, and copy-on-write page sharing are pure speedups.  For every arch and campaign kind, a
 // campaign run with any of them disabled must produce a bit-identical
 // result — same records, same merged counters — as the default
 // configuration, at any worker count, with tracing on or off.
@@ -27,11 +26,9 @@ CampaignSpec fastpath_spec(isa::Arch arch, CampaignKind kind) {
 /// A plan copy with the machine fast-path knobs overridden.  Workers build
 /// their Machines from plan.spec.machine, so this flips the config without
 /// replanning — the injection targets stay literally identical.
-CampaignPlan with_knobs(const CampaignPlan& plan, bool decode_cache,
-                        bool fast_reboot, bool superblock = true,
-                        bool cow_memory = true) {
+CampaignPlan with_knobs(const CampaignPlan& plan, bool fast_reboot,
+                        bool superblock = true, bool cow_memory = true) {
   CampaignPlan variant = plan;
-  variant.spec.machine.decode_cache = decode_cache;
   variant.spec.machine.fast_reboot = fast_reboot;
   variant.spec.machine.superblock = superblock;
   variant.spec.machine.cow_memory = cow_memory;
@@ -50,19 +47,18 @@ TEST_P(FastPathParityTest, FastPathsAreBitExact) {
 
   struct Variant {
     const char* name;
-    bool decode_cache, fast_reboot, superblock, cow_memory;
+    bool fast_reboot, superblock, cow_memory;
   };
   const Variant variants[] = {
-      {"no_decode_cache", false, true, true, true},
-      {"full_copy_reboot", true, false, true, true},
-      {"no_superblock", true, true, false, true},
-      {"no_cow", true, true, true, false},
-      {"no_fast_paths_at_all", false, false, false, false},
+      {"full_copy_reboot", false, true, true},
+      {"no_superblock", true, false, true},
+      {"no_cow", true, true, false},
+      {"no_fast_paths_at_all", false, false, false},
   };
   for (const Variant& v : variants) {
     SCOPED_TRACE(v.name);
-    const CampaignResult got = CampaignEngine(2).run(with_knobs(
-        plan, v.decode_cache, v.fast_reboot, v.superblock, v.cow_memory));
+    const CampaignResult got = CampaignEngine(2).run(
+        with_knobs(plan, v.fast_reboot, v.superblock, v.cow_memory));
     ASSERT_EQ(got.records.size(), baseline.records.size());
     EXPECT_EQ(result_fingerprint(got), want);
     // The fingerprint covers these, but compare a few directly so a
@@ -116,7 +112,7 @@ TEST_P(SuperblockCowMatrixTest, AllKnobCombinationsMergeIdentically) {
           RunControl ctl;
           ctl.trace = trace;
           const CampaignResult got = CampaignEngine(jobs).run(
-              with_knobs(plan, true, true, superblock, cow), {}, ctl);
+              with_knobs(plan, true, superblock, cow), {}, ctl);
           EXPECT_EQ(result_fingerprint(got), want);
         }
       }

@@ -1,6 +1,6 @@
 // Functional-unit classification of riscf instructions against
 // hand-decoded 32-bit words (real PowerPC encodings), plus the
-// predecode-cache side of opclass targeting: corrupting a cached
+// superblock-cache side of opclass targeting: corrupting a cached
 // instruction so it changes class must force a re-decode.
 #include <gtest/gtest.h>
 
@@ -59,21 +59,29 @@ TEST(RiscfOpClassTest, EveryOpHasAClassBelowNumClasses) {
 TEST(RiscfOpClassTest, CorruptedCachedInsnMigratesClassAndReDecodes) {
   // Flipping the MSB of `addi r3, r0, 1` (opcode 14) yields opcode 46 —
   // `lmw`, a load/store — so one injected bit moves the instruction from
-  // the ALU class to load/store.  The predecoded copy of the addi must
-  // not survive the flip.
+  // the ALU class to load/store.  The addi's copy in a cached superblock
+  // must not survive the flip.
   constexpr Addr kCode = 0x10000;
   mem::AddressSpace space{64 * 1024, mem::Endian::kBig};
   RiscfCpu cpu{space};
-  cpu.set_decode_cache_enabled(true);
+  cpu.set_superblocks_enabled(true);
+  const auto run = [&cpu] {
+    u64 consumed = 0;
+    for (int i = 0; i < 8; ++i) {
+      if (cpu.step_block({}, &consumed).status != isa::StepStatus::kOk) {
+        return;
+      }
+    }
+  };
   space.map_region("code", kCode, 4096,
                    {.read = true, .write = true, .execute = true});
   const u32 addi = 0x38600001;
   space.vwrite32(kCode, addi);
   space.vwrite32(kCode + 4, 0x44000002);  // sc
   cpu.set_pc(kCode);
-  for (int i = 0; i < 8 && cpu.step().status == isa::StepStatus::kOk; ++i) {
-  }
+  run();
   ASSERT_EQ(cpu.regs().gpr[3], 1u);
+  ASSERT_EQ(cpu.superblock_stats().misses, 1u);  // one block: addi, sc
   ASSERT_EQ(opclass(decode(addi).op), isa::OpClass::kAlu);
 
   // Big-endian image: the opcode's top bit lives in byte 0, bit 7.
@@ -87,9 +95,9 @@ TEST(RiscfOpClassTest, CorruptedCachedInsnMigratesClassAndReDecodes) {
   EXPECT_EQ(cpu.decode_at(kCode).op, Op::kLmw);
   cpu.set_pc(kCode);
   cpu.regs().gpr[3] = 0;
-  for (int i = 0; i < 8 && cpu.step().status == isa::StepStatus::kOk; ++i) {
-  }
+  run();
   EXPECT_NE(cpu.regs().gpr[3], 1u);  // the addi is gone
+  EXPECT_GE(cpu.superblock_stats().invalidations, 1u);
 }
 
 }  // namespace

@@ -162,6 +162,63 @@ TEST(WorkloadTest, ProfilerIsRepeatable) {
   }
 }
 
+// The profiler counts function entries once per block dispatch on the
+// superblock path and once per instruction when single-stepping.  Both
+// must agree exactly: every block ends at a control transfer, so a
+// function entry is always a block leader.  Checked on every kernel build
+// the ablations use, since each option changes the emitted code.
+struct ProfileConfig {
+  const char* name;
+  isa::Arch arch;
+  bool spinlock_debug;
+  bool g4_stack_wrapper;
+  bool p4_stack_limit_check;
+};
+
+// Name the parameter in test listings (the default prints its raw bytes,
+// pointer included, so the listed names would change from run to run).
+void PrintTo(const ProfileConfig& c, std::ostream* os) { *os << c.name; }
+
+class ProfileExactnessTest : public ::testing::TestWithParam<ProfileConfig> {};
+
+TEST_P(ProfileExactnessTest, BlockPathCountsMatchSingleStepping) {
+  const ProfileConfig& c = GetParam();
+  MachineOptions opts;
+  opts.spinlock_debug = c.spinlock_debug;
+  opts.g4_stack_wrapper = c.g4_stack_wrapper;
+  opts.p4_stack_limit_check = c.p4_stack_limit_check;
+  std::vector<HotFunction> hot[2];  // superblocks on, off
+  for (const bool superblock : {true, false}) {
+    opts.superblock = superblock;
+    Machine machine(c.arch, opts);
+    auto wl = make_suite();
+    // Coverage 1.0 keeps every function entered at least once.
+    hot[superblock ? 0 : 1] = profile_hot_functions(machine, *wl, 1.0, 1);
+    // The block run must really have profiled on blocks.
+    EXPECT_EQ(machine.cpu().superblock_stats().block_insns > 0, superblock);
+  }
+  ASSERT_GT(hot[0].size(), 1u);
+  ASSERT_EQ(hot[0].size(), hot[1].size());
+  for (size_t i = 0; i < hot[0].size(); ++i) {
+    EXPECT_EQ(hot[0][i].name, hot[1][i].name);
+    EXPECT_EQ(hot[0][i].entries, hot[1][i].entries) << hot[0][i].name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelBuilds, ProfileExactnessTest,
+    ::testing::Values(
+        ProfileConfig{"cisca", isa::Arch::kCisca, true, true, false},
+        ProfileConfig{"cisca_nospinlock", isa::Arch::kCisca, false, true,
+                      false},
+        ProfileConfig{"cisca_stacklimit", isa::Arch::kCisca, true, true, true},
+        ProfileConfig{"riscf", isa::Arch::kRiscf, true, true, false},
+        ProfileConfig{"riscf_nospinlock", isa::Arch::kRiscf, false, true,
+                      false},
+        ProfileConfig{"riscf_nowrapper", isa::Arch::kRiscf, true, false,
+                      false}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 TEST(WorkloadTest, DiskPatternMatchesKernelImage) {
   Machine machine(isa::Arch::kCisca, MachineOptions{});
   const auto& disk = machine.image().object("disk_blocks");
