@@ -17,8 +17,8 @@
 //                     (default 1; bit-identical results either way)
 //   KFI_SUPERBLOCK    0 disables superblock (multi-instruction trace)
 //                     execution (default 1; bit-identical either way)
-//   KFI_COW           0 disables copy-on-write page sharing
-//                     (default 1; bit-identical either way)
+// These two are the only fast-path knobs; copy-on-write page sharing is
+// always on.
 #pragma once
 
 #include <cstdio>
@@ -57,7 +57,6 @@ inline inject::CampaignSpec base_spec(isa::Arch arch,
   spec.seed = env_u64("KFI_SEED", 1);
   spec.machine.fast_reboot = env_u32("KFI_FAST_REBOOT", 1) != 0;
   spec.machine.superblock = env_u32("KFI_SUPERBLOCK", 1) != 0;
-  spec.machine.cow_memory = env_u32("KFI_COW", 1) != 0;
   return spec;
 }
 

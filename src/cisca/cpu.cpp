@@ -38,7 +38,7 @@ const SegDescriptor* lookup_descriptor(u32 selector) {
 }
 
 CiscaCpu::CiscaCpu(mem::AddressSpace& space, Options options)
-    : space_(space), options_(options),
+    : Engine(space), options_(options),
       sysregs_(std::make_unique<CiscaSysRegs>(*this)) {}
 
 CiscaCpu::~CiscaCpu() = default;
@@ -55,15 +55,6 @@ isa::Trap CiscaCpu::make_trap(Cause cause, Addr addr, bool has_addr,
   trap.aux = aux;
   if (cause == Cause::kPageFault) regs_.cr2 = addr;
   return trap;
-}
-
-void CiscaCpu::raise(Cause cause, Addr addr, bool has_addr, u32 aux) {
-  throw TrapException{make_trap(cause, addr, has_addr, aux)};
-}
-
-void CiscaCpu::deliver(Cause cause, Addr addr, bool has_addr, u32 aux) {
-  pending_trap_ = make_trap(cause, addr, has_addr, aux);
-  trap_pending_ = true;
 }
 
 FetchWindow CiscaCpu::fetch_window(Addr pc) const {
@@ -91,16 +82,6 @@ FetchWindow CiscaCpu::fetch_window(Addr pc) const {
     }
   }
   return window;
-}
-
-void CiscaCpu::set_superblocks_enabled(bool enabled) {
-  sblocks_enabled_ = enabled;
-  if (enabled && sblocks_.empty()) {
-    sblocks_.resize(kSuperblockEntries);
-  } else if (!enabled) {
-    sblocks_.clear();
-    sblocks_.shrink_to_fit();
-  }
 }
 
 DecodeResult CiscaCpu::decode_at(Addr pc) const {
@@ -149,9 +130,7 @@ u32 CiscaCpu::read_mem(Addr addr, u8 width) {
     case 4: value = space_.phys().read32(phys, mem::Endian::kLittle); break;
     default: KFI_CHECK(false, "bad width");
   }
-  if (current_result_ != nullptr && debug_.data_bp_any()) {
-    debug_.record_access(addr, width, /*is_write=*/false, *current_result_);
-  }
+  note_data_access(addr, width, /*is_write=*/false);
   if (sink_ != nullptr) sink_->on_mem_read(addr, phys, width);
   return value;
 }
@@ -182,9 +161,7 @@ void CiscaCpu::write_mem(Addr addr, u8 width, u32 value) {
     case 4: space_.phys().write32(phys, value, mem::Endian::kLittle); break;
     default: KFI_CHECK(false, "bad width");
   }
-  if (current_result_ != nullptr && debug_.data_bp_any()) {
-    debug_.record_access(addr, width, /*is_write=*/true, *current_result_);
-  }
+  note_data_access(addr, width, /*is_write=*/true);
   if (sink_ != nullptr) sink_->on_mem_write(addr, phys, width);
 }
 
@@ -340,59 +317,6 @@ bool CiscaCpu::eval_cond(u8 cond) const {
     case kCondLE: return (cond & 1) ? !(zf || sf != of) : (zf || sf != of);
   }
   return false;
-}
-
-isa::StepResult CiscaCpu::step() {
-  isa::StepResult result;
-  if (debug_.check_insn_bp(regs_.eip)) {
-    result.status = isa::StepStatus::kInsnBp;
-    return result;
-  }
-  current_result_ = &result;
-  try {
-    // Loss of protected mode or paging (e.g. a CR0 bit flip) is immediately
-    // fatal in a protected-mode kernel: the very next fetch #GPs.
-    if (!test_bit(regs_.cr0, kCr0PE) || !test_bit(regs_.cr0, kCr0PG)) {
-      raise(Cause::kGeneralProtection, 0, false, regs_.cr0);
-    }
-    // The uncached reference: fetch and decode the current bytes, so a
-    // corrupted or rewritten instruction takes effect at its next fetch.
-    const FetchWindow window = fetch_window(regs_.eip);
-    const DecodeResult dec = decode(window);
-    if (dec.fetch_fault) {
-      raise(Cause::kPageFault, dec.fault_addr, true);
-    }
-    ++decode_stats_.misses;
-    if (dec.insn.op == Op::kInvalid) {
-      raise(Cause::kInvalidOpcode, 0, false, window.bytes[0]);
-    }
-    if (sink_ != nullptr) {
-      // Variable-length fetch: split the byte span across the (up to two)
-      // physical pages so injected code bytes are seen wherever they live.
-      const u32 len = dec.insn.length;
-      const u32 in_page =
-          mem::kPageSize - (window.phys & (mem::kPageSize - 1));
-      const u32 len1 = std::min(len, in_page);
-      const u32 phys2 = (len1 < len && window.phys_page2 != kNoPage)
-                            ? (window.phys_page2 << mem::kPageShift)
-                            : 0;
-      sink_->on_insn_fetch(kSlotEip, regs_.eip, window.phys, len1, phys2,
-                           phys2 != 0 ? len - len1 : 0);
-    }
-    execute(dec.insn);
-    cycles_ += 1;
-    take_pending_trap(result);
-  } catch (const TrapException& te) {
-    result.status = isa::StepStatus::kTrap;
-    result.trap = te.trap;
-    cycles_ += 1;
-  }
-  if (result.status == isa::StepStatus::kOk && halted_pending_) {
-    halted_pending_ = false;
-    result.status = isa::StepStatus::kHalted;
-  }
-  current_result_ = nullptr;
-  return result;
 }
 
 // Per-op execute handlers.  Each is the corresponding case body of the old
@@ -1160,10 +1084,6 @@ const std::array<OpFn, kNumOps>& op_table() {
 
 }  // namespace
 
-void CiscaCpu::execute(const Insn& insn) {
-  op_table()[static_cast<size_t>(insn.op)](*this, insn);
-}
-
 bool CiscaCpu::block_terminator(const Insn& insn) {
   switch (insn.op) {
     // Control transfers (and REP string slices, which may repeat at the
@@ -1186,16 +1106,20 @@ bool CiscaCpu::block_terminator(const Insn& insn) {
   }
 }
 
-bool CiscaCpu::build_block(Superblock& blk, Addr vpc, u32 phys0) {
+bool CiscaCpu::block_entry(u32* phys0) const {
+  // Loss of protected mode or paging single-steps, so step() raises the
+  // #GP.  A one-byte fetch never crosses a page, so the fast path fails
+  // only when the pc is unfetchable; step() then raises.
+  return test_bit(regs_.cr0, kCr0PE) && test_bit(regs_.cr0, kCr0PG) &&
+         space_.try_translate(regs_.eip, 1, mem::Access::kExecute, phys0);
+}
+
+void CiscaCpu::build_block(std::vector<BlockInsn>& insns, Addr vpc,
+                           u32 phys0) const {
   const mem::PhysicalMemory& pm = space_.phys();
-  blk.tag = kNoPage;
-  blk.insns.clear();
-  blk.vpc = vpc;
-  blk.page = phys0 >> mem::kPageShift;
-  blk.ver = pm.page_version(blk.page);
   Addr pc = vpc;
   u32 phys = phys0;
-  while (blk.insns.size() < kMaxBlockInsns) {
+  while (insns.size() < kMaxBlockInsns) {
     // Conservative page rule: every member instruction's full decode
     // window must fit in the block's page, so the block depends on exactly
     // one page version and can never hit a mid-instruction fetch fault.
@@ -1211,118 +1135,44 @@ bool CiscaCpu::build_block(Superblock& blk, Addr vpc, u32 phys0) {
     // Invalid encodings single-step: step() raises the #UD with its aux
     // byte.
     if (dec.fetch_fault || dec.insn.op == Op::kInvalid) break;
-    blk.insns.push_back(
+    insns.push_back(
         {dec.insn, op_table()[static_cast<size_t>(dec.insn.op)], phys});
-    const bool term = block_terminator(dec.insn);
     pc += dec.insn.length;
     phys += dec.insn.length;
-    if (term) break;
+    if (block_terminator(dec.insn)) break;
   }
-  if (blk.insns.empty()) return false;
-  blk.tag = phys0;
-  return true;
 }
 
-isa::StepResult CiscaCpu::step_block(const isa::BlockLimits& limits,
-                                     u64* consumed) {
-  *consumed = 1;
-  if (!sblocks_enabled_) return step();
-  // Same order as step(): the breakpoint check precedes everything.  The
-  // single-step fallbacks below re-check it harmlessly (a non-matching
-  // check has no effect, and a matching one already returned here).
-  if (debug_.check_insn_bp(regs_.eip)) {
-    isa::StepResult result;
-    result.status = isa::StepStatus::kInsnBp;
-    return result;
-  }
+CiscaCpu::BlockInsn CiscaCpu::fetch_decode() {
+  // Loss of protected mode or paging (e.g. a CR0 bit flip) is immediately
+  // fatal in a protected-mode kernel: the very next fetch #GPs.
   if (!test_bit(regs_.cr0, kCr0PE) || !test_bit(regs_.cr0, kCr0PG)) {
-    return step();  // raises #GP with the step() bookkeeping
+    raise(Cause::kGeneralProtection, 0, false, regs_.cr0);
   }
-  // A one-byte fetch never crosses a page, so the fast path fails only
-  // when the pc is unfetchable; step() then raises.
-  u32 phys0 = 0;
-  if (!space_.try_translate(regs_.eip, 1, mem::Access::kExecute, &phys0)) {
-    return step();
+  // The uncached reference: fetch and decode the current bytes, so a
+  // corrupted or rewritten instruction takes effect at its next fetch.
+  const FetchWindow window = fetch_window(regs_.eip);
+  const DecodeResult dec = decode(window);
+  if (dec.fetch_fault) {
+    raise(Cause::kPageFault, dec.fault_addr, true);
   }
-  mem::PhysicalMemory& pm = space_.phys();
-  Superblock& blk = sblocks_[phys0 & (kSuperblockEntries - 1)];
-  bool hit = false;
-  if (blk.tag == phys0 && blk.vpc == regs_.eip) {
-    if (blk.ver == pm.page_version(blk.page)) {
-      hit = true;
-    } else {
-      ++sb_stats_.invalidations;
-    }
+  ++decode_stats_.misses;
+  if (dec.insn.op == Op::kInvalid) {
+    raise(Cause::kInvalidOpcode, 0, false, window.bytes[0]);
   }
-  if (hit) {
-    ++sb_stats_.hits;
-  } else {
-    ++sb_stats_.misses;
-    if (!build_block(blk, regs_.eip, phys0)) return step();
+  if (sink_ != nullptr) {
+    // Variable-length fetch: split the byte span across the (up to two)
+    // physical pages so injected code bytes are seen wherever they live.
+    const u32 len = dec.insn.length;
+    const u32 in_page = mem::kPageSize - (window.phys & (mem::kPageSize - 1));
+    const u32 len1 = std::min(len, in_page);
+    const u32 phys2 = (len1 < len && window.phys_page2 != kNoPage)
+                          ? (window.phys_page2 << mem::kPageShift)
+                          : 0;
+    sink_->on_insn_fetch(kSlotEip, regs_.eip, window.phys, len1, phys2,
+                         phys2 != 0 ? len - len1 : 0);
   }
-  ++sb_stats_.dispatches;
-
-  isa::StepResult result;
-  current_result_ = &result;
-  const u64 cycle_bound = limits.cycle_bound == 0 ? ~0ull : limits.cycle_bound;
-  const u64 max_insns = limits.max_insns == 0 ? ~0ull : limits.max_insns;
-  const u64 ver = blk.ver;
-  const u32 page = blk.page;
-  const u32 n = static_cast<u32>(blk.insns.size());
-  // No instruction arms the breakpoint (only the harness does, between
-  // run() calls), so an unarmed unit at dispatch stays unarmed for the
-  // whole block and the per-insn check can be skipped.
-  const bool bp_armed = debug_.insn_bp_armed();
-  u64 done = 0;
-  bool bp_stop = false;
-  try {
-    for (u32 i = 0; i < n; ++i) {
-      if (i != 0) {
-        // The machine loop's per-iteration order, inlined: step budget,
-        // cycle-driven events, then the instruction breakpoint.
-        if (done >= max_insns) break;
-        if (cycles_ >= cycle_bound) break;
-        if (bp_armed && debug_.check_insn_bp(regs_.eip)) {
-          result.status = isa::StepStatus::kInsnBp;
-          bp_stop = true;
-          break;
-        }
-      }
-      const BlockInsn& bi = blk.insns[i];
-      if (sink_ != nullptr) {
-        // Block instructions never straddle pages (see build_block), so
-        // the span is always single-page — same bytes as the step() hook.
-        sink_->on_insn_fetch(kSlotEip, regs_.eip, bi.phys, bi.insn.length, 0,
-                             0);
-      }
-      bi.fn(*this, bi.insn);
-      cycles_ += 1;
-      if (take_pending_trap(result)) break;
-      ++done;
-      if (result.num_data_hits > 0) break;
-      if (halted_pending_) break;
-      // A store into this block's own page (self-modification, injector
-      // flip) may have rewritten the remaining cached instructions:
-      // re-dispatch so they re-decode from current bytes.
-      if (pm.page_version(page) != ver) break;
-    }
-  } catch (const TrapException& te) {
-    result.status = isa::StepStatus::kTrap;
-    result.trap = te.trap;
-    cycles_ += 1;
-  }
-  if (result.status == isa::StepStatus::kOk && halted_pending_) {
-    halted_pending_ = false;
-    result.status = isa::StepStatus::kHalted;
-  }
-  current_result_ = nullptr;
-  sb_stats_.block_insns += done;
-  // Executed instructions each stand for one machine-loop iteration; a
-  // trap or breakpoint stop consumed one more (exactly what the old
-  // per-step loop charged against harness step budgets).
-  *consumed =
-      result.status == isa::StepStatus::kTrap || bp_stop ? done + 1 : done;
-  return result;
+  return {dec.insn, op_table()[static_cast<size_t>(dec.insn.op)], window.phys};
 }
 
 isa::CpuSnapshot CiscaCpu::snapshot() const {
@@ -1365,3 +1215,6 @@ void CiscaCpu::restore(const isa::CpuSnapshot& snap) {
 }
 
 }  // namespace kfi::cisca
+
+template class kfi::isa::SuperblockEngine<kfi::cisca::CiscaCpu,
+                                          kfi::cisca::Insn>;

@@ -8,7 +8,7 @@ namespace kfi::fabric {
 
 namespace {
 
-constexpr u8 kSpecVersion = 2;
+constexpr u8 kSpecVersion = 3;
 
 
 /// Every plan-relevant CampaignSpec field, in wire order.
@@ -32,7 +32,6 @@ void spec_fields(IO& io, Spec& spec) {
   io(m.seed);
   io(m.fast_reboot);
   io(m.superblock);
-  io(m.cow_memory);
   auto& f = spec.model;
   io(f.shape, inject::FaultShape::kSingleBit, inject::FaultShape::kOpclass);
   io(f.trigger, inject::FaultTrigger::kSingleShot, inject::FaultTrigger::kRate);

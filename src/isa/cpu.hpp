@@ -101,20 +101,17 @@ class CpuCore {
   /// sink.  Hook sites are guarded null checks, so execution — cycle
   /// counts, memory traffic, RNG draws — is bit-identical with or without
   /// a sink attached (the campaign fingerprint cross-checks enforce it).
-  /// Default: tracing unsupported, attach is a no-op.
-  virtual void set_trace_sink(trace::TraceSink* /*sink*/) {}
+  virtual void set_trace_sink(trace::TraceSink* sink) = 0;
 
   /// Trace register slot backing system-register bank index `index`, or
   /// trace::kNoSlot when that bank member is not shadowed.  Lets the
   /// injector seed taint at the exact register it flipped.
-  virtual trace::RegSlot sysreg_slot(u32 /*index*/) const {
-    return trace::kNoSlot;
-  }
+  virtual trace::RegSlot sysreg_slot(u32 index) const = 0;
 
   /// Decodes performed by step(), which always decodes the current
   /// bytes from memory: it is the uncached reference that superblock
   /// execution must match.
-  virtual DecodeCacheStats decode_cache_stats() const { return {}; }
+  virtual DecodeCacheStats decode_cache_stats() const = 0;
 
   /// Execute a superblock: a cached straight-line run of predecoded
   /// instructions starting at the current pc, dispatched through per-op
@@ -124,16 +121,10 @@ class CpuCore {
   /// charges, bounded exactly by `limits`.  `*consumed` is the number of
   /// machine-loop iterations the dispatch stands for (executed
   /// instructions, plus one for a trap or breakpoint stop — exactly what
-  /// a step() would have charged against a harness step budget).
-  /// Default: superblocks unsupported, single step.
-  virtual StepResult step_block(const BlockLimits& /*limits*/,
-                                u64* consumed) {
-    *consumed = 1;
-    return step();
-  }
-  virtual void set_superblocks_enabled(bool /*enabled*/) {}
-  virtual bool superblocks_enabled() const { return false; }
-  virtual SuperblockStats superblock_stats() const { return {}; }
+  /// a step() would have charged against a harness step budget).  Both
+  /// CPU models implement it once, in isa/superblock.hpp.
+  virtual StepResult step_block(const BlockLimits& limits, u64* consumed) = 0;
+  virtual SuperblockStats superblock_stats() const = 0;
 };
 
 }  // namespace kfi::isa

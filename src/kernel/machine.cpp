@@ -51,36 +51,12 @@ Machine::Machine(isa::Arch arch, MachineOptions options)
               build_shared_kernel_image(arch, options.spinlock_debug)) {}
 
 Machine::Machine(isa::Arch arch, MachineOptions options, kir::ImagePtr image)
-    : arch_(arch),
-      options_(options),
-      space_(kPhysBytes, arch == isa::Arch::kCisca ? mem::Endian::kLittle
-                                                   : mem::Endian::kBig),
-      image_(std::move(image)),
-      rng_(options.seed) {
-  KFI_CHECK(image_ != nullptr, "Machine requires a built kernel image");
-  KFI_CHECK(image_->arch == arch, "kernel image built for a different arch");
-  helper_backend_ = arch == isa::Arch::kCisca
-                        ? kir::make_cisca_backend(kTextBase, kDataBase)
-                        : kir::make_riscf_backend(kTextBase, kDataBase);
-  if (arch == isa::Arch::kCisca) {
-    cisca::CiscaCpu::Options copts;
-    copts.stack_limit_check = options.p4_stack_limit_check;
-    auto cpu = std::make_unique<cisca::CiscaCpu>(space_, copts);
-    cisca_cpu_ = cpu.get();
-    cpu_ = std::move(cpu);
-  } else {
-    auto cpu = std::make_unique<riscf::RiscfCpu>(space_);
-    riscf_cpu_ = cpu.get();
-    cpu_ = std::move(cpu);
-  }
-  cpu_->set_superblocks_enabled(options.superblock);
-  space_.phys().set_cow_enabled(options.cow_memory);
-  entry_map_ = build_entry_map(*image_);
+    : Machine(arch, options, std::move(image), Unbooted{}) {
   boot();
 }
 
 Machine::Machine(isa::Arch arch, MachineOptions options, kir::ImagePtr image,
-                 const MachineSnapshot& boot_snap)
+                 Unbooted)
     : arch_(arch),
       options_(options),
       space_(kPhysBytes, arch == isa::Arch::kCisca ? mem::Endian::kLittle
@@ -103,14 +79,8 @@ Machine::Machine(isa::Arch arch, MachineOptions options, kir::ImagePtr image,
     riscf_cpu_ = cpu.get();
     cpu_ = std::move(cpu);
   }
-  cpu_->set_superblocks_enabled(options.superblock);
-  space_.phys().set_cow_enabled(options.cow_memory);
   entry_map_ = build_entry_map(*image_);
-
-  // Boot by adoption: establish the address-space layout and cached
-  // symbols, then take ALL memory and CPU state from the donor snapshot.
-  // No image-load writes happen, so with COW on this machine starts with
-  // zero private pages.
+  profile_counts_.assign(image_->functions.size(), 0);
   map_address_space();
   dispatch_entry_ = image_->function(KernelEntryPoints::kDispatch).addr;
   timer_entry_ = image_->function(KernelEntryPoints::kTimerTick).addr;
@@ -119,7 +89,14 @@ Machine::Machine(isa::Arch arch, MachineOptions options, kir::ImagePtr image,
     cisca_cpu_->set_stack_bounds(
         kStackRegion, kStackRegion + kNumTasks * stack_slot(arch_));
   }
-  profile_counts_.assign(image_->functions.size(), 0);
+}
+
+Machine::Machine(isa::Arch arch, MachineOptions options, kir::ImagePtr image,
+                 const MachineSnapshot& boot_snap)
+    : Machine(arch, options, std::move(image), Unbooted{}) {
+  // Boot by adoption: take ALL memory and CPU state from the donor
+  // snapshot.  No image-load writes happen, so this machine starts with
+  // zero private pages.
   boot_snapshot_ = boot_snap;
   restore(boot_snap);
   if (riscf_cpu_ != nullptr) {
@@ -160,18 +137,12 @@ void Machine::map_address_space() {
 }
 
 void Machine::boot() {
-  map_address_space();
-
   // --- load image ---
   space_.vwrite_bytes(kTextBase, image_->code.data(),
                       static_cast<u32>(image_->code.size()));
   space_.vwrite_bytes(kDataBase, image_->data.data(),
                       static_cast<u32>(image_->data.size()));
   write_glue_stubs();
-
-  dispatch_entry_ = image_->function(KernelEntryPoints::kDispatch).addr;
-  timer_entry_ = image_->function(KernelEntryPoints::kTimerTick).addr;
-  current_addr_ = image_->object("current").addr;
 
   // --- boot-time task setup (the bootloader's job) ---
   const char* thread_entries[kNumTasks] = {
@@ -192,8 +163,6 @@ void Machine::boot() {
   // --- CPU initial state ---
   if (cisca_cpu_ != nullptr) {
     cisca_cpu_->regs().gpr[cisca::kEsp] = stack_top(arch_, 0);
-    cisca_cpu_->set_stack_bounds(
-        kStackRegion, kStackRegion + kNumTasks * stack_slot(arch_));
   } else {
     riscf_cpu_->regs().gpr[riscf::kSp] = stack_top(arch_, 0);
     riscf_cpu_->regs().gpr[13] = kDataBase;  // small-data base
@@ -202,7 +171,6 @@ void Machine::boot() {
   cpu_->set_pc(glue_addr(kGlueSyscallReturn));
 
   next_timer_ = options_.timer_period;
-  profile_counts_.assign(image_->functions.size(), 0);
 
   boot_snapshot_ = snapshot();
 }

@@ -110,11 +110,6 @@ struct MachineOptions {
   /// must not change (the fingerprint cross-check enforces it); off is
   /// only useful for that cross-check and for measuring the speedup.
   bool superblock = true;
-  /// Copy-on-write page sharing: restores re-point pages at the shared
-  /// snapshot instead of copying, so worker machines rebooting from one
-  /// boot snapshot hold ~1 memory image plus their dirty pages.  Also
-  /// bit-exact; off keeps every page private (the pre-COW behavior).
-  bool cow_memory = true;
 };
 
 /// Snapshot of a whole machine (memory + CPU + runtime), used to "reboot"
@@ -139,7 +134,7 @@ class Machine {
   /// memory + boot.
   Machine(isa::Arch arch, MachineOptions options, kir::ImagePtr image);
   /// Boot by adopting another machine's boot snapshot instead of writing a
-  /// fresh memory image.  With COW on, the worker starts with ZERO private
+  /// fresh memory image.  The worker starts with ZERO private
   /// pages — every page aliases the donor's shared snapshot buffer — which
   /// is what makes a 64-worker engine's resident memory sublinear in the
   /// worker count.  The snapshot must come from a machine built on the
@@ -224,6 +219,13 @@ class Machine {
   const MachineSnapshot& boot_snapshot() const { return boot_snapshot_; }
 
  private:
+  /// Tag for the constructor both public ones share: it builds the CPU,
+  /// maps the address space and caches the image's symbols, but neither
+  /// boots nor adopts a snapshot.
+  struct Unbooted {};
+  Machine(isa::Arch arch, MachineOptions options, kir::ImagePtr image,
+          Unbooted);
+
   enum class GlueKind : u8 { kSyscall, kIsr };
   struct GlueFrame {
     GlueKind kind;

@@ -36,15 +36,6 @@ u8* PhysicalMemory::materialize(u32 page) {
   return p;
 }
 
-void PhysicalMemory::set_cow_enabled(bool on) {
-  cow_ = on;
-  if (!on) {
-    for (u32 page = 0; page < num_pages(); ++page) {
-      if (write_pages_[page] == nullptr) materialize(page);
-    }
-  }
-}
-
 u32 PhysicalMemory::private_pages() const {
   u32 n = 0;
   for (const auto& s : storage_) n += s != nullptr ? 1 : 0;
@@ -141,16 +132,16 @@ PhysicalMemory::SnapshotPtr PhysicalMemory::snapshot_shared() {
   baseline_version_ = page_version_;
   // The snapshot holds exactly what every page holds, so aliasing it
   // changes nothing observable — but it lets private storage go.
-  if (cow_) adopt_all(baseline_, /*release_storage=*/true);
+  adopt_all(baseline_);
   return snap;
 }
 
-void PhysicalMemory::adopt_all(const SnapshotPtr& snap, bool release_storage) {
+void PhysicalMemory::adopt_all(const SnapshotPtr& snap) {
   const u8* src = snap->data();
   for (u32 page = 0; page < num_pages(); ++page) {
     read_pages_[page] = src + (page << kPageShift);
     write_pages_[page] = nullptr;
-    if (release_storage) storage_[page].reset();
+    storage_[page].reset();
   }
 }
 
@@ -167,15 +158,10 @@ void PhysicalMemory::restore(const SnapshotPtr& snap) {
   const u8* src = snap->data();
   for (u32 page = 0; page < num_pages(); ++page) {
     if (page_version_[page] == baseline_version_[page]) continue;
-    const u32 off = page << kPageShift;
-    if (cow_) {
-      // Re-point at the baseline instead of copying; keep the private
-      // buffer for the next materialization of this (evidently hot) page.
-      read_pages_[page] = src + off;
-      write_pages_[page] = nullptr;
-    } else {
-      std::memcpy(writable(page), src + off, page_bytes(page));
-    }
+    // Re-point at the baseline instead of copying; keep the private
+    // buffer for the next materialization of this (evidently hot) page.
+    read_pages_[page] = src + (page << kPageShift);
+    write_pages_[page] = nullptr;
     // The page's contents just changed again, so its version must move —
     // a cached decode of the dirtied bytes is stale after the reboot.
     ++page_version_[page];
@@ -193,39 +179,12 @@ void PhysicalMemory::restore_full(const SnapshotPtr& snap) {
 }
 
 void PhysicalMemory::full_copy(const SnapshotPtr& snap) {
-  if (cow_) {
-    adopt_all(snap, /*release_storage=*/true);
-  } else {
-    const u8* src = snap->data();
-    for (u32 page = 0; page < num_pages(); ++page) {
-      std::memcpy(writable(page), src + (page << kPageShift),
-                  page_bytes(page));
-    }
-  }
+  adopt_all(snap);
   for (auto& v : page_version_) ++v;
   baseline_ = snap;
   baseline_version_ = page_version_;
   restore_pages_copied_ += num_pages();
   last_restore_pages_ = num_pages();
-}
-
-std::vector<u8> PhysicalMemory::snapshot() const {
-  std::vector<u8> out(size_, 0);
-  read_bytes(0, out.data(), size_);
-  return out;
-}
-
-void PhysicalMemory::restore(const std::vector<u8>& snap) {
-  KFI_CHECK(snap.size() == size_, "snapshot size mismatch");
-  for (u32 page = 0; page < num_pages(); ++page) {
-    std::memcpy(writable(page), snap.data() + (page << kPageShift),
-                page_bytes(page));
-  }
-  for (auto& v : page_version_) ++v;
-  // A by-value restore has no identity to track, so the shared baseline
-  // (if any) no longer matches memory.
-  baseline_.reset();
-  baseline_version_.clear();
 }
 
 }  // namespace kfi::mem

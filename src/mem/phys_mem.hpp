@@ -37,9 +37,7 @@
 //     Restoring a shared snapshot re-points pages instead of copying
 //     them, so N worker machines rebooting from one boot snapshot hold
 //     ~1 memory image plus their private dirty pages — not N full
-//     images.  `set_cow_enabled(false)` keeps every page private and
-//     restores by memcpy (the pre-COW behavior); contents and version
-//     counters are bit-identical either way.
+//     images.
 #pragma once
 
 #include <cstring>
@@ -70,14 +68,9 @@ class PhysicalMemory {
   u32 num_pages() const { return static_cast<u32>(page_version_.size()); }
 
   /// Monotonic write counter of one page; bumped by every store into the
-  /// page (including snapshot restores that rewrite it).  The decode and
-  /// superblock caches use this to detect stale entries.
+  /// page (including snapshot restores that rewrite it).  The superblock
+  /// cache uses this to detect stale entries.
   u64 page_version(u32 page) const { return page_version_[page]; }
-
-  /// Copy-on-write control.  Enabled by default; disabling materializes
-  /// every page so all subsequent restores copy instead of re-pointing.
-  void set_cow_enabled(bool on);
-  bool cow_enabled() const { return cow_; }
 
   /// Pages with private backing storage allocated — the instance's
   /// resident footprint beyond shared snapshot buffers (COW observability
@@ -169,9 +162,9 @@ class PhysicalMemory {
 
   /// Whole-memory snapshot into a shared immutable buffer.  The snapshot
   /// becomes the fast-restore baseline: restore() of this exact snapshot
-  /// brings back only pages written since.  With COW enabled, every page
-  /// is re-pointed at the snapshot (contents unchanged, so no version
-  /// bumps) and private storage is released — taking the boot snapshot is
+  /// brings back only pages written since.  Every page is re-pointed at
+  /// the snapshot (contents unchanged, so no version bumps) and private
+  /// storage is released — taking the boot snapshot is
   /// what drops a machine's resident footprint to the shared image.
   SnapshotPtr snapshot_shared();
 
@@ -186,10 +179,6 @@ class PhysicalMemory {
   /// behavior, kept as a cross-check knob so campaigns can prove the fast
   /// path is invisible to results.
   void restore_full(const SnapshotPtr& snap);
-
-  /// Legacy by-value snapshot / restore (tests and one-off tools).
-  std::vector<u8> snapshot() const;
-  void restore(const std::vector<u8>& snap);
 
   // --- restore observability (for the reboot benches) ---
   u64 restores() const { return restores_; }
@@ -225,9 +214,9 @@ class PhysicalMemory {
   u8* materialize(u32 page);
 
   /// Point every page at `snap`'s buffer (contents must already match or
-  /// be superseded intentionally).  Releases private storage when asked —
-  /// that is what makes worker memory sublinear in worker count.
-  void adopt_all(const SnapshotPtr& snap, bool release_storage);
+  /// be superseded intentionally) and release private storage — that is
+  /// what makes worker memory sublinear in worker count.
+  void adopt_all(const SnapshotPtr& snap);
 
   // Cross-page slow paths for the multi-byte accessors.
   u16 read_split16(u32 pa, Endian endian) const;
@@ -235,11 +224,10 @@ class PhysicalMemory {
   void write_split16(u32 pa, u16 value, Endian endian);
   void write_split32(u32 pa, u32 value, Endian endian);
 
-  /// Adopt-or-copy every page from `snap` and re-sync the baseline to it.
+  /// Adopt every page from `snap` and re-sync the baseline to it.
   void full_copy(const SnapshotPtr& snap);
 
   u32 size_ = 0;
-  bool cow_ = true;
   /// Per-page read source: private copy, shared snapshot page, or the
   /// all-zero page.  write_pages_[p] is non-null iff the page is private.
   std::vector<const u8*> read_pages_;

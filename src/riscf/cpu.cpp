@@ -17,7 +17,7 @@ constexpr size_t kNumOps = static_cast<size_t>(Op::kMcrf) + 1;
 }  // namespace
 
 RiscfCpu::RiscfCpu(mem::AddressSpace& space)
-    : space_(space), sysregs_(std::make_unique<RiscfSysRegs>(*this)) {
+    : Engine(space), sysregs_(std::make_unique<RiscfSysRegs>(*this)) {
   // Pre-touch every inert supervisor SPR so snapshots have a fixed shape.
   for (const u32 spr : inert_supervisor_sprs()) spr_storage_[spr] = 0;
 }
@@ -46,15 +46,6 @@ isa::Trap RiscfCpu::make_trap(Cause cause, Addr addr, bool has_addr,
     trap.aux = 1;
   }
   return trap;
-}
-
-void RiscfCpu::raise(Cause cause, Addr addr, bool has_addr, u32 aux) {
-  throw TrapException{make_trap(cause, addr, has_addr, aux)};
-}
-
-void RiscfCpu::deliver(Cause cause, Addr addr, bool has_addr, u32 aux) {
-  pending_trap_ = make_trap(cause, addr, has_addr, aux);
-  trap_pending_ = true;
 }
 
 void RiscfCpu::check_alignment(Addr ea, u8 width) {
@@ -88,9 +79,7 @@ u32 RiscfCpu::read_mem(Addr addr, u8 width) {
     case 4: value = space_.phys().read32(phys, mem::Endian::kBig); break;
     default: KFI_CHECK(false, "bad width");
   }
-  if (current_result_ != nullptr && debug_.data_bp_any()) {
-    debug_.record_access(addr, width, /*is_write=*/false, *current_result_);
-  }
+  note_data_access(addr, width, /*is_write=*/false);
   if (sink_ != nullptr) sink_->on_mem_read(addr, phys, width);
   return value;
 }
@@ -124,9 +113,7 @@ void RiscfCpu::write_mem(Addr addr, u8 width, u32 value) {
     case 4: space_.phys().write32(phys, value, mem::Endian::kBig); break;
     default: KFI_CHECK(false, "bad width");
   }
-  if (current_result_ != nullptr && debug_.data_bp_any()) {
-    debug_.record_access(addr, width, /*is_write=*/true, *current_result_);
-  }
+  note_data_access(addr, width, /*is_write=*/true);
   if (sink_ != nullptr) sink_->on_mem_write(addr, phys, width);
 }
 
@@ -247,61 +234,6 @@ Insn RiscfCpu::decode_at(Addr pc) const {
   const auto tr = space_.translate(pc, 4, mem::Access::kExecute);
   if (!tr.ok()) return Insn{};
   return decode(space_.phys().read32(tr.phys, mem::Endian::kBig));
-}
-
-void RiscfCpu::set_superblocks_enabled(bool enabled) {
-  sblocks_enabled_ = enabled;
-  if (enabled && sblocks_.empty()) {
-    sblocks_.resize(kSuperblockEntries);
-  } else if (!enabled) {
-    sblocks_.clear();
-    sblocks_.shrink_to_fit();
-  }
-}
-
-isa::StepResult RiscfCpu::step() {
-  isa::StepResult result;
-  if (debug_.check_insn_bp(regs_.pc)) {
-    result.status = isa::StepStatus::kInsnBp;
-    return result;
-  }
-  current_result_ = &result;
-  try {
-    if ((regs_.msr & kMsrIR) == 0) {
-      raise(Cause::kMachineCheck, regs_.pc, true);
-    }
-    if ((regs_.pc & 3) != 0) {
-      raise(Cause::kInstrStorage, regs_.pc, true);
-    }
-    const auto tr = space_.translate(regs_.pc, 4, mem::Access::kExecute);
-    if (!tr.ok()) {
-      if (tr.fault->kind == mem::FaultKind::kBusRegion) {
-        raise(Cause::kMachineCheck, regs_.pc, true);
-      }
-      raise(Cause::kInstrStorage, regs_.pc, true);
-    }
-    // The uncached reference: decode the word as it is now, so a corrupted
-    // or rewritten instruction takes effect at its next fetch.
-    const Insn insn = decode(space_.phys().read32(tr.phys, mem::Endian::kBig));
-    ++decode_stats_.misses;
-    if (insn.op == Op::kInvalid) {
-      raise(Cause::kIllegalInstruction, 0, false, insn.raw);
-    }
-    if (sink_ != nullptr) {
-      // Fixed 4-byte aligned fetch: never straddles a page.
-      sink_->on_insn_fetch(kSlotPc, regs_.pc, tr.phys, 4, 0, 0);
-      trace_reads(insn);
-    }
-    execute(insn);
-    if (!take_pending_trap(result) && sink_ != nullptr) trace_writes(insn);
-    cycles_ += 1;
-  } catch (const TrapException& te) {
-    result.status = isa::StepStatus::kTrap;
-    result.trap = te.trap;
-    cycles_ += 1;
-  }
-  current_result_ = nullptr;
-  return result;
 }
 
 // Per-op execute handlers.  Each is the corresponding case body of the old
@@ -964,10 +896,6 @@ const std::array<OpFn, kNumOps>& op_table() {
 
 }  // namespace
 
-void RiscfCpu::execute(const Insn& insn) {
-  op_table()[static_cast<size_t>(insn.op)](*this, insn);
-}
-
 bool RiscfCpu::block_terminator(const Insn& insn) {
   switch (insn.op) {
     // Control transfers end the straight-line run; syscalls hand control
@@ -982,129 +910,56 @@ bool RiscfCpu::block_terminator(const Insn& insn) {
   }
 }
 
-bool RiscfCpu::build_block(Superblock& blk, Addr vpc, u32 phys0) {
-  const mem::PhysicalMemory& pm = space_.phys();
-  blk.tag = 0xFFFFFFFFu;
-  blk.insns.clear();
-  blk.vpc = vpc;
-  blk.page = phys0 >> mem::kPageShift;
-  blk.ver = pm.page_version(blk.page);
-  u32 phys = phys0;
-  while (blk.insns.size() < kMaxBlockInsns &&
-         (phys >> mem::kPageShift) == blk.page) {
-    const Insn insn = decode(pm.read32(phys, mem::Endian::kBig));
-    // Invalid encodings single-step: step() raises with insn.raw as aux.
-    if (insn.op == Op::kInvalid) break;
-    blk.insns.push_back(
-        {insn, op_table()[static_cast<size_t>(insn.op)], phys});
-    phys += 4;
-    if (block_terminator(insn)) break;
-  }
-  if (blk.insns.empty()) return false;
-  blk.tag = phys0;
-  return true;
-}
-
-isa::StepResult RiscfCpu::step_block(const isa::BlockLimits& limits,
-                                     u64* consumed) {
-  *consumed = 1;
-  if (!sblocks_enabled_) return step();
-  // Same order as step(): the breakpoint check precedes everything.  The
-  // single-step fallbacks below re-check it harmlessly (a non-matching
-  // check has no effect, and a matching one already returned here).
-  if (debug_.check_insn_bp(regs_.pc)) {
-    isa::StepResult result;
-    result.status = isa::StepStatus::kInsnBp;
-    return result;
-  }
+bool RiscfCpu::block_entry(u32* phys0) const {
   // Translation off or an unaligned/unfetchable pc: step() raises with
   // its own bookkeeping.  MSR.IR can only change in-block via mtmsr or a
   // trap, both of which end the block, so checking at dispatch is exact;
-  // non-branch instructions advance the pc by 4, keeping it aligned.
-  if ((regs_.msr & kMsrIR) == 0 || (regs_.pc & 3) != 0) return step();
-  // An aligned word fetch never crosses a page, so the fast path fails
-  // only when the pc is unfetchable.
-  u32 phys0 = 0;
-  if (!space_.try_translate(regs_.pc, 4, mem::Access::kExecute, &phys0)) {
-    return step();
-  }
-  mem::PhysicalMemory& pm = space_.phys();
-  Superblock& blk = sblocks_[(phys0 >> 2) & (kSuperblockEntries - 1)];
-  bool hit = false;
-  if (blk.tag == phys0 && blk.vpc == regs_.pc) {
-    if (blk.ver == pm.page_version(blk.page)) {
-      hit = true;
-    } else {
-      ++sb_stats_.invalidations;
-    }
-  }
-  if (hit) {
-    ++sb_stats_.hits;
-  } else {
-    ++sb_stats_.misses;
-    if (!build_block(blk, regs_.pc, phys0)) return step();
-  }
-  ++sb_stats_.dispatches;
+  // non-branch instructions advance the pc by 4, keeping it aligned.  An
+  // aligned word fetch never crosses a page, so the fast path fails only
+  // when the pc is unfetchable.
+  return (regs_.msr & kMsrIR) != 0 && (regs_.pc & 3) == 0 &&
+         space_.try_translate(regs_.pc, 4, mem::Access::kExecute, phys0);
+}
 
-  isa::StepResult result;
-  current_result_ = &result;
-  const u64 cycle_bound = limits.cycle_bound == 0 ? ~0ull : limits.cycle_bound;
-  const u64 max_insns = limits.max_insns == 0 ? ~0ull : limits.max_insns;
-  const u64 ver = blk.ver;
-  const u32 page = blk.page;
-  const u32 n = static_cast<u32>(blk.insns.size());
-  // No instruction arms the breakpoint (only the harness does, between
-  // run() calls), so an unarmed unit at dispatch stays unarmed for the
-  // whole block and the per-insn check can be skipped.
-  const bool bp_armed = debug_.insn_bp_armed();
-  u64 done = 0;
-  bool bp_stop = false;
-  try {
-    for (u32 i = 0; i < n; ++i) {
-      if (i != 0) {
-        // The machine loop's per-iteration order, inlined: step budget,
-        // cycle-driven events, then the instruction breakpoint.
-        if (done >= max_insns) break;
-        if (cycles_ >= cycle_bound) break;
-        if (bp_armed && debug_.check_insn_bp(regs_.pc)) {
-          result.status = isa::StepStatus::kInsnBp;
-          bp_stop = true;
-          break;
-        }
-      }
-      const BlockInsn& bi = blk.insns[i];
-      if (sink_ != nullptr) {
-        // Fixed 4-byte aligned fetch: never straddles a page.
-        sink_->on_insn_fetch(kSlotPc, regs_.pc, bi.phys, 4, 0, 0);
-        trace_reads(bi.insn);
-      }
-      bi.fn(*this, bi.insn);
-      if (take_pending_trap(result)) {
-        cycles_ += 1;
-        break;
-      }
-      if (sink_ != nullptr) trace_writes(bi.insn);
-      cycles_ += 1;
-      ++done;
-      if (result.num_data_hits > 0) break;
-      // A store into this block's own page (self-modification, injector
-      // flip) may have rewritten the remaining cached instructions:
-      // re-dispatch so they re-decode from current bytes.
-      if (pm.page_version(page) != ver) break;
-    }
-  } catch (const TrapException& te) {
-    result.status = isa::StepStatus::kTrap;
-    result.trap = te.trap;
-    cycles_ += 1;
+void RiscfCpu::build_block(std::vector<BlockInsn>& insns, Addr /*vpc*/,
+                           u32 phys0) const {
+  const mem::PhysicalMemory& pm = space_.phys();
+  const u32 page = phys0 >> mem::kPageShift;
+  u32 phys = phys0;
+  while (insns.size() < kMaxBlockInsns && (phys >> mem::kPageShift) == page) {
+    const Insn insn = decode(pm.read32(phys, mem::Endian::kBig));
+    // Invalid encodings single-step: step() raises with insn.raw as aux.
+    if (insn.op == Op::kInvalid) break;
+    insns.push_back({insn, op_table()[static_cast<size_t>(insn.op)], phys});
+    phys += 4;
+    if (block_terminator(insn)) break;
   }
-  current_result_ = nullptr;
-  sb_stats_.block_insns += done;
-  // Executed instructions each stand for one machine-loop iteration; a
-  // trap or breakpoint stop consumed one more (exactly what the old
-  // per-step loop charged against harness step budgets).
-  *consumed =
-      result.status == isa::StepStatus::kTrap || bp_stop ? done + 1 : done;
-  return result;
+}
+
+RiscfCpu::BlockInsn RiscfCpu::fetch_decode() {
+  if ((regs_.msr & kMsrIR) == 0) {
+    raise(Cause::kMachineCheck, regs_.pc, true);
+  }
+  if ((regs_.pc & 3) != 0) {
+    raise(Cause::kInstrStorage, regs_.pc, true);
+  }
+  const auto tr = space_.translate(regs_.pc, 4, mem::Access::kExecute);
+  if (!tr.ok()) {
+    if (tr.fault->kind == mem::FaultKind::kBusRegion) {
+      raise(Cause::kMachineCheck, regs_.pc, true);
+    }
+    raise(Cause::kInstrStorage, regs_.pc, true);
+  }
+  // The uncached reference: decode the word as it is now, so a corrupted
+  // or rewritten instruction takes effect at its next fetch.
+  const Insn insn = decode(space_.phys().read32(tr.phys, mem::Endian::kBig));
+  ++decode_stats_.misses;
+  if (insn.op == Op::kInvalid) {
+    raise(Cause::kIllegalInstruction, 0, false, insn.raw);
+  }
+  const BlockInsn bi{insn, op_table()[static_cast<size_t>(insn.op)], tr.phys};
+  if (sink_ != nullptr) trace_fetch(bi);
+  return bi;
 }
 
 void RiscfCpu::trace_reads(const Insn& insn) {
@@ -1289,3 +1144,6 @@ void RiscfCpu::restore(const isa::CpuSnapshot& snap) {
 }
 
 }  // namespace kfi::riscf
+
+template class kfi::isa::SuperblockEngine<kfi::riscf::RiscfCpu,
+                                          kfi::riscf::Insn>;

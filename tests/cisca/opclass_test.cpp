@@ -85,7 +85,6 @@ TEST(CiscaOpClassTest, CorruptedCachedInsnMigratesClassAndReDecodes) {
   constexpr Addr kCode = 0x10000;
   mem::AddressSpace space{64 * 1024, mem::Endian::kLittle};
   CiscaCpu cpu{space};
-  cpu.set_superblocks_enabled(true);
   const auto run = [&cpu] {
     u64 consumed = 0;
     for (int i = 0; i < 8; ++i) {

@@ -29,7 +29,6 @@ inject::CampaignSpec full_spec() {
   spec.machine.seed = 99;
   spec.machine.fast_reboot = false;
   spec.machine.superblock = true;
-  spec.machine.cow_memory = false;
   spec.model.shape = inject::FaultShape::kOpclass;
   spec.model.trigger = inject::FaultTrigger::kRate;
   spec.model.bits = 2;
@@ -59,7 +58,6 @@ TEST(SpecBlob, RoundTripPreservesEveryField) {
   EXPECT_EQ(back->machine.seed, spec.machine.seed);
   EXPECT_EQ(back->machine.fast_reboot, spec.machine.fast_reboot);
   EXPECT_EQ(back->machine.superblock, spec.machine.superblock);
-  EXPECT_EQ(back->machine.cow_memory, spec.machine.cow_memory);
   EXPECT_EQ(back->model.shape, spec.model.shape);
   EXPECT_EQ(back->model.trigger, spec.model.trigger);
   EXPECT_EQ(back->model.bits, spec.model.bits);
@@ -98,10 +96,11 @@ TEST(SpecBlob, EveryTruncationAndTrailingByteRejected) {
   EXPECT_FALSE(deserialize_campaign_spec(padded).has_value());
 }
 
-TEST(SpecBlob, VersionOneBlobRefused) {
-  // Version 1 carried one more machine-option byte, right after the
-  // machine seed.  Rebuild that layout from a current blob: a worker must
-  // refuse it rather than read every later field one byte off.
+/// A current blob rebuilt in an older layout, with its removed
+/// machine-option bytes set: version 2 carried the copy-on-write byte
+/// after the superblock byte, and version 1 also the decode-cache byte
+/// right after the machine seed.
+std::vector<u8> older_layout_blob(u8 version) {
   inject::CampaignSpec spec = full_spec();
   spec.machine.seed = 0x5EED5EED5EED5EEDull;
   const std::vector<u8> blob = serialize_campaign_spec(spec);
@@ -109,18 +108,33 @@ TEST(SpecBlob, VersionOneBlobRefused) {
   codec::put64(seed, spec.machine.seed);
   const auto at = std::search(blob.begin(), blob.end(), seed.begin(),
                               seed.end());
-  ASSERT_NE(at, blob.end());
-  std::vector<u8> v1(blob.begin(), at + 8);
-  v1.push_back(1);  // the removed option, set
-  v1.insert(v1.end(), at + 8, blob.end());
-  v1[0] = 1;
-  EXPECT_FALSE(deserialize_campaign_spec(v1).has_value());
-  // The version byte alone decides: the current layout labelled 1 fails
-  // too.
-  std::vector<u8> relabelled = blob;
-  relabelled[0] = 1;
+  if (at == blob.end()) {
+    ADD_FAILURE() << "machine seed not found in the blob";
+    return {};
+  }
+  const auto after_seed = at + 8;
+  std::vector<u8> old(blob.begin(), after_seed);
+  if (version == 1) old.push_back(1);  // decode cache
+  old.insert(old.end(), after_seed, after_seed + 2);  // reboot, superblock
+  old.push_back(1);  // copy-on-write
+  old.insert(old.end(), after_seed + 2, blob.end());
+  old[0] = version;
+  return old;
+}
+
+/// A worker must refuse an older blob rather than read every later field
+/// a byte or two off.  The version byte alone decides: the current layout
+/// labelled with the old version fails too.
+void expect_version_refused(u8 version) {
+  EXPECT_FALSE(deserialize_campaign_spec(older_layout_blob(version)));
+  std::vector<u8> relabelled = serialize_campaign_spec(full_spec());
+  relabelled[0] = version;
   EXPECT_FALSE(deserialize_campaign_spec(relabelled).has_value());
 }
+
+TEST(SpecBlob, VersionOneBlobRefused) { expect_version_refused(1); }
+
+TEST(SpecBlob, VersionTwoBlobRefused) { expect_version_refused(2); }
 
 TEST(SpecBlob, CorruptEnumsRejected) {
   std::vector<u8> blob = serialize_campaign_spec(full_spec());

@@ -1,6 +1,6 @@
-// The perf fast paths' bit-exactness contract: the dirty-page reboot,
-// superblock execution, and copy-on-write page sharing are pure speedups.  For every arch and campaign kind, a
-// campaign run with any of them disabled must produce a bit-identical
+// The perf fast paths' bit-exactness contract: the dirty-page reboot and
+// superblock execution are pure speedups.  For every arch and campaign
+// kind, a campaign run with either disabled must produce a bit-identical
 // result — same records, same merged counters — as the default
 // configuration, at any worker count, with tracing on or off.
 #include <gtest/gtest.h>
@@ -27,11 +27,10 @@ CampaignSpec fastpath_spec(isa::Arch arch, CampaignKind kind) {
 /// their Machines from plan.spec.machine, so this flips the config without
 /// replanning — the injection targets stay literally identical.
 CampaignPlan with_knobs(const CampaignPlan& plan, bool fast_reboot,
-                        bool superblock = true, bool cow_memory = true) {
+                        bool superblock) {
   CampaignPlan variant = plan;
   variant.spec.machine.fast_reboot = fast_reboot;
   variant.spec.machine.superblock = superblock;
-  variant.spec.machine.cow_memory = cow_memory;
   return variant;
 }
 
@@ -47,18 +46,17 @@ TEST_P(FastPathParityTest, FastPathsAreBitExact) {
 
   struct Variant {
     const char* name;
-    bool fast_reboot, superblock, cow_memory;
+    bool fast_reboot, superblock;
   };
   const Variant variants[] = {
-      {"full_copy_reboot", false, true, true},
-      {"no_superblock", true, false, true},
-      {"no_cow", true, true, false},
-      {"no_fast_paths_at_all", false, false, false},
+      {"full_copy_reboot", false, true},
+      {"no_superblock", true, false},
+      {"no_fast_paths_at_all", false, false},
   };
   for (const Variant& v : variants) {
     SCOPED_TRACE(v.name);
     const CampaignResult got = CampaignEngine(2).run(
-        with_knobs(plan, v.fast_reboot, v.superblock, v.cow_memory));
+        with_knobs(plan, v.fast_reboot, v.superblock));
     ASSERT_EQ(got.records.size(), baseline.records.size());
     EXPECT_EQ(result_fingerprint(got), want);
     // The fingerprint covers these, but compare a few directly so a
@@ -89,8 +87,8 @@ INSTANTIATE_TEST_SUITE_P(
              campaign_kind_name(std::get<1>(info.param));
     });
 
-// The PR-8 acceptance matrix: superblock {on,off} x COW {on,off} x jobs
-// {1,4} x trace {on,off} must all merge to one fingerprint, per arch.
+// Superblock {on,off} x jobs {1,4} x trace {on,off} must all merge to one
+// fingerprint, per arch.
 // (The code campaign is the stressful one for superblocks: the injector
 // corrupts exactly the bytes the block cache holds.)
 class SuperblockCowMatrixTest : public ::testing::TestWithParam<isa::Arch> {};
@@ -102,19 +100,16 @@ TEST_P(SuperblockCowMatrixTest, AllKnobCombinationsMergeIdentically) {
   const u64 want = result_fingerprint(CampaignEngine(1).run(plan));
 
   for (const bool superblock : {true, false}) {
-    for (const bool cow : {true, false}) {
-      for (const u32 jobs : {1u, 4u}) {
-        for (const bool trace : {false, true}) {
-          SCOPED_TRACE("superblock=" + std::to_string(superblock) +
-                       " cow=" + std::to_string(cow) +
-                       " jobs=" + std::to_string(jobs) +
-                       " trace=" + std::to_string(trace));
-          RunControl ctl;
-          ctl.trace = trace;
-          const CampaignResult got = CampaignEngine(jobs).run(
-              with_knobs(plan, true, superblock, cow), {}, ctl);
-          EXPECT_EQ(result_fingerprint(got), want);
-        }
+    for (const u32 jobs : {1u, 4u}) {
+      for (const bool trace : {false, true}) {
+        SCOPED_TRACE("superblock=" + std::to_string(superblock) +
+                     " jobs=" + std::to_string(jobs) +
+                     " trace=" + std::to_string(trace));
+        RunControl ctl;
+        ctl.trace = trace;
+        const CampaignResult got = CampaignEngine(jobs).run(
+            with_knobs(plan, true, superblock), {}, ctl);
+        EXPECT_EQ(result_fingerprint(got), want);
       }
     }
   }

@@ -116,14 +116,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SupervisorTest, ResumeSurvivesPerfKnobChanges) {
   // A journal written by a superblock-free campaign resumed under the
-  // default (superblock + COW) configuration — and vice versa — must
+  // default (superblock) configuration — and vice versa — must
   // still merge bit-identically: journaled records are data, and the
   // remaining injections are knob-independent by the parity contract.
   for (const bool first_run_superblock : {false, true}) {
     SCOPED_TRACE(first_run_superblock ? "sb_then_plain" : "plain_then_sb");
     CampaignSpec spec = small_spec(isa::Arch::kRiscf);
     spec.machine.superblock = first_run_superblock;
-    spec.machine.cow_memory = first_run_superblock;
     const CampaignPlan plan = build_campaign_plan(spec);
     const u64 want = result_fingerprint(CampaignEngine(1).run(plan));
 
@@ -145,7 +144,6 @@ TEST(SupervisorTest, ResumeSurvivesPerfKnobChanges) {
     }
     CampaignPlan flipped = plan;
     flipped.spec.machine.superblock = !first_run_superblock;
-    flipped.spec.machine.cow_memory = !first_run_superblock;
     InjectionJournal journal = InjectionJournal::resume(path, flipped);
     RunControl ctl;
     ctl.journal = &journal;

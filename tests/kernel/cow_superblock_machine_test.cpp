@@ -84,10 +84,9 @@ TEST_P(CowSuperblockMachineTest, WorkerRebootDropsBackToSharedPages) {
 
 TEST_P(CowSuperblockMachineTest, DepositIntoCachedKernelCodeReDecodes) {
   const isa::Arch arch = GetParam();
-  MachineOptions fast_opts;  // superblocks and COW on
+  MachineOptions fast_opts;  // superblocks on
   MachineOptions slow_opts;
   slow_opts.superblock = false;
-  slow_opts.cow_memory = false;
   Machine fast(arch, fast_opts);
   Machine slow(arch, slow_opts);
 

@@ -1,10 +1,12 @@
 // Copy-on-write page sharing contract of PhysicalMemory: snapshots are
 // shared immutable buffers that pages alias until first write, so the
 // resident footprint of a machine rebooting from a shared snapshot is its
-// dirty working set, not a full memory image.  COW is a pure memory
-// optimization — contents, page write-versions, and restore semantics are
-// bit-identical with it on or off.
+// dirty working set, not a full memory image.  Sharing is invisible:
+// contents and page write-versions match a flat-array model.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "mem/phys_mem.hpp"
 
@@ -82,37 +84,60 @@ TEST(CowTest, ForeignSnapshotRestoreAdoptsAndReleases) {
   EXPECT_EQ(pm.private_pages(), 0u);  // adoption re-points every page
 }
 
+/// Reference model sharing no code with PhysicalMemory: flat bytes plus
+/// one write counter per page, bumped once by every operation that
+/// touches the page.
+struct FlatModel {
+  std::vector<u8> bytes = std::vector<u8>(kSize, 0);
+  std::vector<u64> versions = std::vector<u64>(kSize / kPageSize, 0);
+
+  void write(u32 pa, const std::vector<u8>& data) {
+    std::copy(data.begin(), data.end(), bytes.begin() + pa);
+    const u32 last = pa + static_cast<u32>(data.size()) - 1;
+    for (u32 page = pa / kPageSize; page <= last / kPageSize; ++page) {
+      ++versions[page];
+    }
+  }
+  /// Reboot to `snap` (a copy of this model): every page written since
+  /// gets its bytes back and one more version bump.
+  void restore(const FlatModel& snap) {
+    for (u32 page = 0; page < versions.size(); ++page) {
+      if (versions[page] == snap.versions[page]) continue;
+      const u32 off = page * kPageSize;
+      std::copy_n(snap.bytes.begin() + off, kPageSize, bytes.begin() + off);
+      ++versions[page];
+    }
+  }
+};
+
 TEST(CowTest, DisabledCowIsBitIdenticalInContentAndVersions) {
-  // The same operation sequence on a COW and a non-COW memory must yield
-  // identical bytes and identical page write-versions (the decode and
-  // superblock caches key on versions, so they must not diverge).
-  PhysicalMemory cow(kSize), flat(kSize);
-  flat.set_cow_enabled(false);
-  EXPECT_FALSE(flat.cow_enabled());
-  EXPECT_TRUE(cow.cow_enabled());
+  // Sharing pages must be invisible: bytes and page write-versions (the
+  // superblock cache keys on versions) must match the flat model through
+  // writes, a shared snapshot, more writes, and a baseline restore.
+  PhysicalMemory pm(kSize);
+  FlatModel model;
+  pm.write32(100, 0x01020304u, Endian::kBig);
+  model.write(100, {0x01, 0x02, 0x03, 0x04});
+  pm.write_bytes(2 * kPageSize - 2, reinterpret_cast<const u8*>("abcd"),
+                 4);  // page-straddling write
+  model.write(2 * kPageSize - 2, {'a', 'b', 'c', 'd'});
+  const auto snap = pm.snapshot_shared();
+  const FlatModel model_snap = model;
+  pm.flip_bit(100, 3);
+  model.write(100, {static_cast<u8>(model.bytes[100] ^ 0x08)});
+  pm.write8(5 * kPageSize + 1, 0xEE);
+  model.write(5 * kPageSize + 1, {0xEE});
+  pm.restore(snap);
+  model.restore(model_snap);
 
-  for (PhysicalMemory* pm : {&cow, &flat}) {
-    pm->write32(100, 0x01020304u, Endian::kBig);
-    pm->write_bytes(2 * kPageSize - 2, reinterpret_cast<const u8*>("abcd"),
-                    4);  // page-straddling write
+  std::vector<u8> got(kSize);
+  pm.read_bytes(0, got.data(), kSize);
+  EXPECT_EQ(got, model.bytes);
+  for (u32 page = 0; page < pm.num_pages(); ++page) {
+    EXPECT_EQ(pm.page_version(page), model.versions[page]) << "page " << page;
   }
-  const auto cow_snap = cow.snapshot_shared();
-  const auto flat_snap = flat.snapshot_shared();
-  for (PhysicalMemory* pm : {&cow, &flat}) {
-    pm->flip_bit(100, 3);
-    pm->write8(5 * kPageSize + 1, 0xEE);
-  }
-  cow.restore(cow_snap);
-  flat.restore(flat_snap);
-
-  EXPECT_EQ(cow.snapshot(), flat.snapshot());
-  for (u32 page = 0; page < cow.num_pages(); ++page) {
-    EXPECT_EQ(cow.page_version(page), flat.page_version(page))
-        << "page " << page;
-  }
-  // And the footprints differ exactly as advertised.
-  EXPECT_EQ(flat.private_pages(), flat.num_pages());
-  EXPECT_LT(cow.private_pages(), cow.num_pages());
+  // Only the two pages written after the snapshot ever went private.
+  EXPECT_LE(pm.private_pages(), 2u);
 }
 
 }  // namespace

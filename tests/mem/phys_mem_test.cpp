@@ -59,7 +59,7 @@ TEST(PhysicalMemoryTest, OutOfRangeAccessThrows) {
 TEST(PhysicalMemoryTest, SnapshotRestoreIsExact) {
   PhysicalMemory pm(128);
   for (u32 i = 0; i < 128; ++i) pm.write8(i, static_cast<u8>(i * 7));
-  const auto snap = pm.snapshot();
+  const auto snap = pm.snapshot_shared();
   for (u32 i = 0; i < 128; ++i) pm.write8(i, 0);
   pm.restore(snap);
   for (u32 i = 0; i < 128; ++i) EXPECT_EQ(pm.read8(i), static_cast<u8>(i * 7));
@@ -185,18 +185,6 @@ TEST(PhysicalMemoryTest, ForeignSnapshotRestoresViaFullCopyAndRebases) {
   EXPECT_EQ(pm.read8(kPageSize), 0);
   EXPECT_EQ(pm.read8(0), 1);
   (void)snap_b;
-}
-
-TEST(PhysicalMemoryTest, LegacyVectorRestoreInvalidatesBaselineAndVersions) {
-  PhysicalMemory pm(2 * kPageSize);
-  const auto shared = pm.snapshot_shared();
-  const auto legacy = pm.snapshot();
-  const u64 v = pm.page_version(0);
-  pm.restore(legacy);
-  EXPECT_GT(pm.page_version(0), v);
-  // The shared baseline was dropped: restoring it again is a full copy.
-  pm.restore(shared);
-  EXPECT_EQ(pm.last_restore_pages(), pm.num_pages());
 }
 
 TEST(PhysicalMemoryTest, PartialLastPageRestores) {

@@ -22,10 +22,11 @@ struct Rig {
   mem::AddressSpace space{256 * 1024, mem::Endian::kBig};
   RiscfCpu cpu{space};
 
-  explicit Rig(bool superblocks) {
+  bool superblocks;
+
+  explicit Rig(bool blocks) : superblocks(blocks) {
     space.map_region("code", kCode, 4096,
                      {.read = true, .write = true, .execute = true});
-    cpu.set_superblocks_enabled(superblocks);
   }
 
   void load(const std::vector<u8>& bytes) {
@@ -34,11 +35,13 @@ struct Rig {
   }
 
   /// Drive the CPU the way the machine loop does: block dispatches with
-  /// unbounded limits, stopping at the first non-kOk status.
+  /// unbounded limits (or single steps without superblocks), stopping at
+  /// the first non-kOk status.
   isa::StepResult run(u32 max_blocks = 200) {
     for (u32 i = 0; i < max_blocks; ++i) {
       u64 consumed = 1;
-      const isa::StepResult r = cpu.step_block({}, &consumed);
+      const isa::StepResult r =
+          superblocks ? cpu.step_block({}, &consumed) : cpu.step();
       if (r.status != isa::StepStatus::kOk) return r;
     }
     ADD_FAILURE() << "did not stop";
@@ -186,6 +189,79 @@ TEST(RiscfSuperblockTest, CycleBoundStopsMidBlock) {
   EXPECT_EQ(consumed, 1u);
   EXPECT_EQ(rig.cpu.regs().gpr[3], 1u);
   EXPECT_EQ(rig.cpu.regs().gpr[4], 0u);  // second insn did not run
+}
+
+// --- Breakpoints inside a cached block -------------------------------------
+
+constexpr Addr kData = 0x14000;
+
+/// One dispatch on `blocked` against `consumed` single steps on `stepped`:
+/// the same status, data hits, registers and cycles.
+void expect_dispatch_matches(Rig& blocked, Rig& stepped, u64 want_consumed,
+                             isa::StepStatus want_status) {
+  const u64 hits = blocked.cpu.superblock_stats().hits;
+  u64 consumed = 0;
+  const isa::StepResult rb = blocked.cpu.step_block({}, &consumed);
+  EXPECT_EQ(blocked.cpu.superblock_stats().hits, hits + 1);  // cached block
+  ASSERT_EQ(consumed, want_consumed);
+  isa::StepResult rs;
+  for (u64 k = 0; k < consumed; ++k) rs = stepped.cpu.step();
+  EXPECT_EQ(rb.status, want_status);
+  EXPECT_EQ(rb.status, rs.status);
+  ASSERT_EQ(rb.num_data_hits, rs.num_data_hits);
+  for (u8 h = 0; h < rb.num_data_hits; ++h) {
+    EXPECT_EQ(rb.data_hits[h].bp_index, rs.data_hits[h].bp_index);
+    EXPECT_EQ(rb.data_hits[h].addr, rs.data_hits[h].addr);
+    EXPECT_EQ(rb.data_hits[h].is_write, rs.data_hits[h].is_write);
+  }
+  EXPECT_EQ(blocked.cpu.snapshot().words, stepped.cpu.snapshot().words);
+  EXPECT_EQ(blocked.cpu.cycles(), stepped.cpu.cycles());
+}
+
+TEST(RiscfSuperblockTest, BreakpointStopsInsideACachedBlockMatchSingleSteps) {
+  // r6 holds the data address before the block runs.
+  Asm a(kCode);
+  a.li(3, 1);
+  a.stw(3, 0, 6);  // 2nd
+  const Addr third = a.here();
+  a.li(4, 2);
+  a.li(5, 3);
+  a.sc();
+  const std::vector<u8> program = a.finish();
+
+  Rig blocked(true), stepped(false);
+  for (Rig* rig : {&blocked, &stepped}) {
+    rig->space.map_region("data", kData, 4096,
+                          {.read = true, .write = true});
+    rig->load(program);
+    rig->cpu.regs().gpr[6] = kData;
+    rig->run();  // caches the block on the superblock rig
+  }
+
+  // An instruction breakpoint at the third instruction stops the cached
+  // block before it executes: two instructions plus the stop.
+  for (Rig* rig : {&blocked, &stepped}) {
+    rig->cpu.set_pc(kCode);
+    rig->cpu.debug().arm_insn_bp(third);
+  }
+  {
+    SCOPED_TRACE("instruction breakpoint");
+    expect_dispatch_matches(blocked, stepped, 3, isa::StepStatus::kInsnBp);
+  }
+  EXPECT_EQ(blocked.cpu.pc(), third);
+
+  // A data breakpoint hit by the second instruction ends the block right
+  // after it, reporting the hit.
+  for (Rig* rig : {&blocked, &stepped}) {
+    rig->cpu.set_pc(kCode);
+    rig->cpu.debug().arm_data_bp(1, kData, 4, /*on_read=*/false,
+                                 /*on_write=*/true);
+  }
+  {
+    SCOPED_TRACE("data breakpoint");
+    expect_dispatch_matches(blocked, stepped, 2, isa::StepStatus::kOk);
+  }
+  EXPECT_EQ(blocked.cpu.pc(), third);
 }
 
 // --- Trap delivery ----------------------------------------------------------
