@@ -13,12 +13,9 @@
 //   KFI_JOBS        campaign worker threads        (default 1 = serial,
 //                   0 = hardware concurrency; results are bit-identical
 //                   for any value)
-//   KFI_FAST_REBOOT   0 forces full-copy snapshot restores
-//                     (default 1; bit-identical results either way)
-//   KFI_SUPERBLOCK    0 disables superblock (multi-instruction trace)
-//                     execution (default 1; bit-identical either way)
-// These two are the only fast-path knobs; copy-on-write page sharing is
-// always on.
+// Campaigns run on the default MachineOptions.  The simulator's own speed
+// is measured by kfibench/, and its fast paths' bit-exactness by the
+// ctest parity suites, so no bench carries a fast-path knob.
 #pragma once
 
 #include <cstdio>
@@ -55,8 +52,6 @@ inline inject::CampaignSpec base_spec(isa::Arch arch,
   spec.kind = kind;
   spec.injections = env_u32("KFI_INJECTIONS", default_injections);
   spec.seed = env_u64("KFI_SEED", 1);
-  spec.machine.fast_reboot = env_u32("KFI_FAST_REBOOT", 1) != 0;
-  spec.machine.superblock = env_u32("KFI_SUPERBLOCK", 1) != 0;
   return spec;
 }
 

@@ -147,17 +147,28 @@ Invalid/Illegal Instruction; without them the same flips are completely
 silent.  This quantifies the paper's diagnosability point: the detector is
 fast but mislabels data corruption as an instruction exception."""
 
-COMMENTARY['micro_simulators'] = """### M1 — simulator microbenchmarks  `bench/micro_simulators`
+SIMULATOR_SPEED = """### M1/M2 — simulator speed, layer by layer  `kfibench/`
 
-Throughput/cost numbers for the substrate itself (syscall round-trips,
-snapshot-restore "reboots", kernel image builds, full injection
-experiments) — the numbers that size practical campaigns."""
+The simulator's own speed has one instrument, `kfibench/` (method in
+`kfibench/BENCHMARK.md`). `python3 kfibench/run.py --workload
+inproc-serial --trace 1` reports host ns per retired instruction
+(`cisca.ns_per_insn`, `riscf.ns_per_insn`), block statistics
+(`*.block_builds`, `*.block_invalidations`, `*.mean_block_len`,
+`*.step_fallbacks`), reboot cost (`kernel.reboot_us`,
+`kernel.reboot_pages`), syscall cost (`kernel.syscall_us`), image build
+(`kir.image_ms`), private pages per worker
+(`mem.private_pages_per_worker`), tracing's cost when on
+(`bench.trace_overhead_pct`) and the per-injection wall time
+(`inj_ms_p50`). Its counts are exact and pinned in `kfibench/pins.json`;
+`kfibench/ab.py` compares two trees in interleaved pairs. That the fast
+paths are bit-exact, and that tracing changes nothing when a sink is
+attached, are ctest checks, not timings: `FastPathParityTest`,
+`FastPathPinTest` and `PropagationParityTest`."""
 
 ORDER = ['table5_p4', 'table6_g4', 'fig4_5_crash_causes', 'fig6_stack_causes',
          'fig10_register_causes', 'fig11_code_causes', 'fig12_data_causes',
          'fig14_regroup_study', 'fig16_latency', 'ablation_p4_stackcheck',
-         'ablation_g4_wrapper', 'ablation_spinlock_checks',
-         'micro_simulators']
+         'ablation_g4_wrapper', 'ablation_spinlock_checks']
 
 HEADER = """# EXPERIMENTS — paper vs. measured
 
@@ -203,6 +214,7 @@ with open('EXPERIMENTS.md', 'w') as f:
     for name in ORDER:
         f.write('\n' + COMMENTARY[name] + '\n\n')
         f.write('```\n' + section(name) + '\n```\n')
+    f.write('\n' + SIMULATOR_SPEED + '\n')
     f.write("""
 ---
 

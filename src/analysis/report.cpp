@@ -266,11 +266,9 @@ std::string summarize_campaign(const inject::CampaignResult& result) {
   if (tp.jobs > 0) {
     char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  " | jobs=%u wall=%.2fs (plan=%.2fs run=%.2fs) %.1f inj/s "
-                  "%.1f Msim-cyc/s",
+                  " | jobs=%u wall=%.2fs (plan=%.2fs run=%.2fs) %.1f inj/s",
                   tp.jobs, tp.wall_seconds, tp.plan_seconds, tp.run_seconds,
-                  tp.injections_per_second(result.records.size()),
-                  tp.simulated_cycles_per_second() / 1e6);
+                  tp.injections_per_second(result.records.size()));
     os << buf;
   }
   return os.str();

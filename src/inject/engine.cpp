@@ -30,7 +30,6 @@ struct WorkerTotals {
   u64 harness_retries = 0;
   u64 backoff_waits = 0;
   double backoff_seconds = 0.0;
-  u32 private_pages = 0;  // worker machine's resident pages at exit
   std::exception_ptr error;
 };
 
@@ -334,7 +333,6 @@ CampaignResult CampaignEngine::run(const CampaignPlan& plan,
           if (progress) progress(++done_count, count);
         }
       }
-      st.totals.private_pages = rig->machine.space().phys().private_pages();
     } catch (...) {
       // Fatal for the whole campaign (rig construction, journal I/O, or a
       // throwing progress callback): stop claiming everywhere, drain, and
@@ -412,10 +410,6 @@ CampaignResult CampaignEngine::run(const CampaignPlan& plan,
     result.retry_backoff_waits += st->totals.backoff_waits;
     result.retry_backoff_seconds += st->totals.backoff_seconds;
     result.worker_backoff_waits.push_back(st->totals.backoff_waits);
-    result.throughput.worker_private_pages += st->totals.private_pages;
-    result.throughput.max_worker_private_pages =
-        std::max(result.throughput.max_worker_private_pages,
-                 st->totals.private_pages);
   }
   for (u32 k = 0; k < count; ++k) {
     if (!result.done_mask[slice_at(k)]) {

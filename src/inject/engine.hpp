@@ -49,22 +49,10 @@ struct CampaignThroughput {
   double wall_seconds = 0.0;  // plan + run
   /// Simulated cycles consumed by all injection runs (summed per worker).
   u64 simulated_cycles = 0;
-  /// Private (non-shared) resident memory pages held by worker machines at
-  /// campaign end: the COW observability for bench/campaign_scaling.  With
-  /// copy-on-write boot-snapshot sharing these stay small and roughly flat
-  /// per worker (dirty pages only); without it every worker holds a full
-  /// image.  0 when no worker executed anything.
-  u64 worker_private_pages = 0;   // summed across workers
-  u32 max_worker_private_pages = 0;  // largest single worker
 
   double injections_per_second(size_t injections) const {
     return run_seconds > 0.0
                ? static_cast<double>(injections) / run_seconds
-               : 0.0;
-  }
-  double simulated_cycles_per_second() const {
-    return run_seconds > 0.0
-               ? static_cast<double>(simulated_cycles) / run_seconds
                : 0.0;
   }
 };
@@ -183,8 +171,8 @@ struct RunControl {
   /// Error-propagation tracing: each worker rig gets a TaintEngine wired
   /// to its machine, and every record carries a PropagationSummary.
   /// Strictly observational — the result fingerprint is bit-identical
-  /// with tracing on or off (the parity tests and
-  /// bench/propagation_overhead enforce it).
+  /// with tracing on or off (the propagation and fast-path parity tests
+  /// enforce it).
   bool trace = false;
   /// Test knob: install a disabled ErrnoInjector on every rig of a
   /// physical campaign.  A hook that declines every call must leave the

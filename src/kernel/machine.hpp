@@ -102,13 +102,13 @@ struct MachineOptions {
   /// Seed for runtime jitter (user time, exception-stage costs).
   u64 seed = 0x1234;
   /// Dirty-page snapshot restore.  Also bit-exact; off forces the
-  /// O(memory) full-copy restore the cross-check compares against.
+  /// O(memory) full-copy restore the parity tests compare against.
   bool fast_reboot = true;
   /// Superblock execution: cache straight-line runs of predecoded
   /// instructions and dispatch them through per-op handler pointers.
   /// Bit-exact: off single-steps through the uncached decoder, and results
-  /// must not change (the fingerprint cross-check enforces it); off is
-  /// only useful for that cross-check and for measuring the speedup.
+  /// must not change (the fast-path parity tests enforce it); off exists
+  /// only as the reference those tests compare against.
   bool superblock = true;
 };
 

@@ -15,7 +15,8 @@
 //
 // Strictly observational: no hook mutates simulator state, consumes
 // entropy, or charges cycles, so result_fingerprint is bit-identical with
-// tracing on or off (enforced by tests and bench/propagation_overhead).
+// tracing on or off (enforced by the propagation and fast-path parity
+// tests).
 #pragma once
 
 #include <array>

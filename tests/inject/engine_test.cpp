@@ -89,7 +89,6 @@ TEST(CampaignEngineTest, ReportsThroughput) {
   EXPECT_GT(result.throughput.simulated_cycles, 0u);
   EXPECT_GT(result.throughput.injections_per_second(result.records.size()),
             0.0);
-  EXPECT_GT(result.throughput.simulated_cycles_per_second(), 0.0);
 }
 
 TEST(CampaignEngineTest, MoreWorkersThanTargetsIsClamped) {

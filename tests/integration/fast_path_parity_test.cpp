@@ -91,9 +91,10 @@ INSTANTIATE_TEST_SUITE_P(
 // fingerprint, per arch.
 // (The code campaign is the stressful one for superblocks: the injector
 // corrupts exactly the bytes the block cache holds.)
-class SuperblockCowMatrixTest : public ::testing::TestWithParam<isa::Arch> {};
+class SuperblockJobsTraceMatrixTest
+    : public ::testing::TestWithParam<isa::Arch> {};
 
-TEST_P(SuperblockCowMatrixTest, AllKnobCombinationsMergeIdentically) {
+TEST_P(SuperblockJobsTraceMatrixTest, AllCombinationsMergeIdentically) {
   const isa::Arch arch = GetParam();
   const CampaignPlan plan =
       build_campaign_plan(fastpath_spec(arch, CampaignKind::kCode));
@@ -115,7 +116,7 @@ TEST_P(SuperblockCowMatrixTest, AllKnobCombinationsMergeIdentically) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(BothArches, SuperblockCowMatrixTest,
+INSTANTIATE_TEST_SUITE_P(BothArches, SuperblockJobsTraceMatrixTest,
                          ::testing::Values(isa::Arch::kCisca,
                                            isa::Arch::kRiscf),
                          [](const auto& info) {
@@ -123,6 +124,34 @@ INSTANTIATE_TEST_SUITE_P(BothArches, SuperblockCowMatrixTest,
                                                   ? "cisca"
                                                   : "riscf");
                          });
+
+// The CI control campaigns (data, n=16, seed 77) must produce the literal
+// fingerprints the fabric tests and CI steps pin, under every fast-reboot x
+// superblock setting.  The parity cases above compare variants with each
+// other; this catches a change that moves all of them together.
+TEST(FastPathPinTest, ControlFingerprintsHoldOnEveryVariant) {
+  struct Pin {
+    isa::Arch arch;
+    u64 fingerprint;
+  };
+  const Pin pins[] = {{isa::Arch::kCisca, 0xAB480E702F164E0Eull},
+                      {isa::Arch::kRiscf, 0x1DBE290A02436345ull}};
+  for (const Pin& pin : pins) {
+    CampaignSpec spec = fastpath_spec(pin.arch, CampaignKind::kData);
+    spec.injections = 16;
+    const CampaignPlan plan = build_campaign_plan(spec);
+    for (const bool fast_reboot : {true, false}) {
+      for (const bool superblock : {true, false}) {
+        SCOPED_TRACE(isa::arch_name(pin.arch) +
+                     " fast_reboot=" + std::to_string(fast_reboot) +
+                     " superblock=" + std::to_string(superblock));
+        const CampaignResult got = CampaignEngine(2).run(
+            with_knobs(plan, fast_reboot, superblock));
+        EXPECT_EQ(result_fingerprint(got), pin.fingerprint);
+      }
+    }
+  }
+}
 
 TEST(ResultFingerprintTest, DistinguishesDifferentCampaigns) {
   // Guard against a degenerate hash: different seeds must (for any

@@ -38,6 +38,55 @@ TEST(PropagationParityTest, FingerprintIdenticalTraceOnOffAcrossJobs) {
   }
 }
 
+TEST(PropagationParityTest, TraceSinkKeepsExecutionOnTheBlockPath) {
+  // Tracing's off-path cost, checked deterministically: the same fault-free
+  // syscalls on two identically booted machines, one with a sink attached,
+  // must return the same values, charge the same cycles and run through
+  // the same superblocks and single steps.  So a sink never moves
+  // execution off the block path, and with no sink the hooks cost only
+  // their null checks (which kfibench's *.ns_per_insn tracks).
+  for (const auto arch : {isa::Arch::kCisca, isa::Arch::kRiscf}) {
+    SCOPED_TRACE(isa::arch_name(arch));
+    kernel::Machine plain(arch, kernel::MachineOptions{});
+    kernel::Machine traced(arch, kernel::MachineOptions{});
+    trace::TaintEngine taint;
+    taint.reset();
+    traced.set_trace_sink(&taint);
+    auto plain_wl = workload::make_suite();
+    auto traced_wl = workload::make_suite();
+    plain_wl->reset(5);
+    traced_wl->reset(5);
+    u32 issued = 0;
+    while (auto req = plain_wl->next(plain)) {
+      const auto traced_req = traced_wl->next(traced);
+      ASSERT_TRUE(traced_req.has_value());
+      const kernel::Event a = plain.syscall(req->nr, req->a0, req->a1, req->a2);
+      const kernel::Event b = traced.syscall(traced_req->nr, traced_req->a0,
+                                             traced_req->a1, traced_req->a2);
+      ASSERT_EQ(a.kind, kernel::EventKind::kSyscallDone) << "@" << issued;
+      ASSERT_EQ(b.kind, a.kind) << "@" << issued;
+      EXPECT_EQ(b.ret, a.ret) << "@" << issued;
+      ASSERT_TRUE(plain_wl->check(plain, a.ret)) << "@" << issued;
+      ASSERT_TRUE(traced_wl->check(traced, b.ret)) << "@" << issued;
+      ++issued;
+    }
+    EXPECT_FALSE(traced_wl->next(traced).has_value());
+    EXPECT_GT(taint.insns(), 0u);  // the sink really saw the run
+
+    EXPECT_EQ(traced.cpu().cycles(), plain.cpu().cycles());
+    const isa::SuperblockStats want = plain.cpu().superblock_stats();
+    const isa::SuperblockStats got = traced.cpu().superblock_stats();
+    EXPECT_GT(want.dispatches, 0u);
+    EXPECT_EQ(got.hits, want.hits);
+    EXPECT_EQ(got.misses, want.misses);
+    EXPECT_EQ(got.invalidations, want.invalidations);
+    EXPECT_EQ(got.dispatches, want.dispatches);
+    EXPECT_EQ(got.block_insns, want.block_insns);
+    EXPECT_EQ(traced.cpu().decode_cache_stats().misses,
+              plain.cpu().decode_cache_stats().misses);
+  }
+}
+
 TEST(PropagationParityTest, TracedRecordsCarrySummariesUntracedDoNot) {
   const auto spec = small_spec(isa::Arch::kRiscf, CampaignKind::kStack, 20);
   const CampaignResult off = run_campaign(spec, {}, 1, false);

@@ -110,7 +110,7 @@ struct FlatModel {
   }
 };
 
-TEST(CowTest, DisabledCowIsBitIdenticalInContentAndVersions) {
+TEST(CowTest, MatchesFlatModelInContentAndVersions) {
   // Sharing pages must be invisible: bytes and page write-versions (the
   // superblock cache keys on versions) must match the flat model through
   // writes, a shared snapshot, more writes, and a baseline restore.
